@@ -10,18 +10,29 @@ force the value to zero.  That direct recheck replaces the structured
 eigensolver backup pass: a nominated point is only useful if the objective
 there is at most gamma, and the recheck answers exactly that, immune to
 rounding in the eigensolve.
+
+A sample costs one eigensolve of the 2n x 2n reduced matrix plus its
+rechecks.  The tolerances are scaled by the family's O(1) upper bound on the
+reduced matrix's 2-norm (``PencilConstants.norm_bound``), not by a per-sample
+SVD: the bound is exact for the uncontrollability family and at least the
+norm for the other two, so it can only widen the nominated set, and every
+nomination is still rechecked.  A and B are validated once, where a caller
+enters without per-level constants.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 
 from .linalg import as_complex_matrix
 from .pencils import (
+    PencilConstants,
     PencilKind,
+    pencil_constants,
     reduced_dtu_matrix,
     reduced_kc_matrix,
     reduced_kd_matrix,
@@ -62,8 +73,10 @@ class NoAcceptedCandidates(RuntimeError):
 class EvalPolicy:
     """Tolerances for eigenvalue classification and candidate verification.
 
-    imag_tol is absolute after normalizing the reduced pencil by its norm;
-    ellipse_delta is the half-width of the discrete-time exclusion ellipse
+    imag_tol is relative to the family's upper bound on the reduced matrix's
+    2-norm (``PencilConstants.norm_bound``), exact for the uncontrollability
+    family and at least the norm for the two Kreiss families; ellipse_delta
+    is the half-width of the discrete-time exclusion ellipse
     ``x^2/delta^2 + y^2 = 1``; verify_tol is the relative slack on the
     recheck ``sigma_min <= gamma * (1 + verify_tol)``.
     """
@@ -92,14 +105,12 @@ class CertificateValue:
     """One certificate evaluation at angle ``theta``.
 
     ``value`` lies in [0, pi^2] and is forced to zero only when at least one
-    candidate passed verification.  ``recheck_used`` records whether any
-    direct sigma_min evaluations were spent at this angle.
+    candidate passed verification.
     """
 
     theta: float
     value: float
     candidates: tuple[CandidatePoint, ...] = field(default_factory=tuple)
-    recheck_used: bool = False
 
     @property
     def accepted(self) -> tuple[CandidatePoint, ...]:
@@ -110,37 +121,35 @@ class CertificateValue:
         return self.value == 0.0 and any(c.accepted for c in self.candidates)
 
 
-def _certificate(kind, a, b, gamma, theta, policy):
+def _certificate(kind, a, b, gamma, theta, policy, const: PencilConstants):
     """Shared evaluation core; see eval_g/eval_h/eval_f for the contracts."""
-    a = as_complex_matrix(a)
     if kind is PencilKind.KREISS_CONTINUOUS:
-        matrix = reduced_kc_matrix(a, gamma, theta)
+        matrix = reduced_kc_matrix(a, gamma, theta, const)
         r_floor = 0.0
 
         def verify(r):
             return sigma_g(a, r, theta)
 
     elif kind is PencilKind.KREISS_DISCRETE:
-        matrix = reduced_kd_matrix(a, gamma, theta)
+        matrix = reduced_kd_matrix(a, gamma, theta, const)
         r_floor = 1.0
 
         def verify(r):
             return sigma_h(a, r, theta)
 
     else:
-        b = as_complex_matrix(b)
-        matrix = reduced_dtu_matrix(a, b, gamma, theta)
+        matrix = reduced_dtu_matrix(a, b, gamma, theta, const)
         r_floor = 0.0
 
         def verify(r):
             return sigma_f(a, b, r, theta)
 
     lam = np.linalg.eigvals(matrix)
-    scale = max(float(np.linalg.norm(matrix, 2)), np.finfo(float).tiny)
+    scale = max(const.norm_bound(theta), np.finfo(float).tiny)
     if np.min(np.abs(lam)) < 1e-14 * scale:
         raise NearZeroPencilEigenvalue(
             f"pencil eigenvalue at {lam[np.argmin(np.abs(lam))]!r} is "
-            f"numerically zero relative to the pencil norm {scale!r}"
+            f"numerically zero relative to the pencil norm bound {scale!r}"
         )
 
     discrete = kind is PencilKind.KREISS_DISCRETE
@@ -190,32 +199,51 @@ def _certificate(kind, a, b, gamma, theta, policy):
 
     if any(c.accepted for c in candidates):
         value = 0.0
-    return CertificateValue(
-        theta=float(theta),
-        value=value,
-        candidates=tuple(candidates),
-        recheck_used=bool(candidates),
-    )
+    return CertificateValue(theta=float(theta), value=value, candidates=tuple(candidates))
 
 
 def eval_g(a, gamma: float, theta: float, policy: EvalPolicy = EvalPolicy()) -> CertificateValue:
     """Continuous-time certificate on the ray at ``theta``; zero marks a crossing."""
-    return _certificate(PencilKind.KREISS_CONTINUOUS, a, None, gamma, theta, policy)
+    return eval_certificate(PencilKind.KREISS_CONTINUOUS, a, None, gamma, theta, policy)
 
 
 def eval_h(a, gamma: float, theta: float, policy: EvalPolicy = EvalPolicy()) -> CertificateValue:
     """Discrete-time certificate; only crossings with radius > 1 count."""
-    return _certificate(PencilKind.KREISS_DISCRETE, a, None, gamma, theta, policy)
+    return eval_certificate(PencilKind.KREISS_DISCRETE, a, None, gamma, theta, policy)
 
 
 def eval_f(a, b, gamma: float, theta: float, policy: EvalPolicy = EvalPolicy()) -> CertificateValue:
     """Uncontrollability certificate over the full plane sweep."""
-    return _certificate(PencilKind.DIST_UNCONTROLLABLE, a, b, gamma, theta, policy)
+    return eval_certificate(PencilKind.DIST_UNCONTROLLABLE, a, b, gamma, theta, policy)
 
 
-def eval_certificate(kind: PencilKind, a, b, gamma, theta, policy=EvalPolicy()):
-    """Dispatch on ``kind``; b is ignored unless evaluating the DTU certificate."""
-    return _certificate(kind, a, b, gamma, theta, policy)
+def eval_certificate(
+    kind: PencilKind,
+    a,
+    b,
+    gamma,
+    theta,
+    policy=EvalPolicy(),
+    const: Optional[PencilConstants] = None,
+):
+    """Dispatch on ``kind``; b is ignored unless evaluating the DTU certificate.
+
+    ``const`` holds the theta-independent parts of the pencil at this kind
+    and level, from ``pencil_constants`` on validated complex A and B; a
+    solver builds it once per certificate round and passes A and B as it
+    validated them.  Without it, A and B are validated and the constants
+    built for this one call.
+    """
+    if const is None:
+        a = as_complex_matrix(a)
+        b = as_complex_matrix(b) if kind is PencilKind.DIST_UNCONTROLLABLE else None
+        const = pencil_constants(kind, a, b, gamma)
+    elif const.kind is not kind or const.gamma != gamma:
+        raise ValueError(
+            f"constants for {const.kind.value} at gamma={const.gamma!r} "
+            f"cannot evaluate {kind.value} at gamma={gamma!r}"
+        )
+    return _certificate(kind, a, b, gamma, theta, policy, const)
 
 
 def extract_restart_points(cv: CertificateValue) -> list[tuple[complex, float]]:

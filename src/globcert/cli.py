@@ -3,7 +3,8 @@
 Results go to stdout and optionally to ``--json``; per-sample certificate
 trace records go to ``--trace`` as CSV for plotting.  The ``verify``
 subcommand runs the independent grid oracle for spot checks.  Exit codes:
-0 for Converged/TrivialNormal, 2 for UnstableInfinite, 1 for any error.
+0 for Converged/TrivialNormal, 2 for UnstableInfinite, 1 for MaxRestarts,
+Uncertified (a best estimate, not certified) or any error.
 """
 
 from __future__ import annotations

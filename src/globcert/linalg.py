@@ -26,6 +26,7 @@ __all__ = [
     "spectra_match",
     "spectral_abscissa",
     "spectral_radius",
+    "svd_triplet",
 ]
 
 
@@ -71,15 +72,24 @@ class SingularTriplet:
 
 def smallest_singular_triplet(m) -> SingularTriplet:
     """Smallest singular value of ``m`` with its left/right unit vectors."""
-    m = as_complex_matrix(m)
+    return svd_triplet(as_complex_matrix(m))[0]
+
+
+def svd_triplet(m: np.ndarray) -> tuple[SingularTriplet, np.ndarray]:
+    """Smallest singular triplet and all singular values, from one SVD.
+
+    ``m`` must already be a valid complex matrix; singular values come
+    descending, as numpy orders them.
+    """
     try:
         u_full, s, vh = np.linalg.svd(m)
     except np.linalg.LinAlgError as exc:
         raise DecompositionError(
             f"SVD failed to converge for a {m.shape[0]}x{m.shape[1]} matrix"
         ) from exc
-    k = len(s) - 1  # numpy orders singular values descending
-    return SingularTriplet(sigma=float(s[k]), u=u_full[:, k].copy(), v=vh[k, :].conj().copy())
+    k = len(s) - 1
+    trip = SingularTriplet(sigma=float(s[k]), u=u_full[:, k].copy(), v=vh[k, :].conj().copy())
+    return trip, s
 
 
 def sigma_min(m) -> float:

@@ -17,12 +17,12 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
-from .linalg import as_complex_matrix, smallest_singular_triplet
+from .linalg import as_complex_matrix, svd_triplet
 from .pencils import PencilKind
 
 __all__ = [
@@ -53,11 +53,13 @@ class Objective:
     kind: PencilKind
     a: np.ndarray
     b: Optional[np.ndarray] = None
+    eye: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "a", as_complex_matrix(self.a))
         if self.a.shape[0] != self.a.shape[1]:
             raise ValueError(f"A must be square, got {self.a.shape}")
+        object.__setattr__(self, "eye", np.eye(self.a.shape[0], dtype=np.complex128))
         if self.kind is PencilKind.DIST_UNCONTROLLABLE:
             if self.b is None:
                 raise ValueError("the uncontrollability objective requires B")
@@ -96,9 +98,12 @@ def _feasible(kind: PencilKind, z: complex) -> bool:
 
 
 def _triplet_info(m):
-    """Smallest singular triplet plus a degeneracy flag for the two smallest."""
-    trip = smallest_singular_triplet(m)
-    s = np.linalg.svd(np.asarray(m), compute_uv=False)
+    """Smallest singular triplet plus a degeneracy flag for the two smallest.
+
+    ``m`` is built from the objective's validated matrices, so it is not
+    validated again; the flag reads the gap from the same SVD.
+    """
+    trip, s = svd_triplet(m)
     degenerate = len(s) >= 2 and (s[-2] - s[-1]) <= DEGENERATE_REL_GAP * max(s[0], 1e-300)
     return trip, degenerate
 
@@ -117,7 +122,7 @@ def objective_value_grad(obj: Objective, z: complex):
     if not _feasible(obj.kind, z):
         raise InfeasiblePoint(f"z={z!r} is not strictly feasible for {obj.kind.value}")
     n = obj.a.shape[0]
-    eye = np.eye(n, dtype=np.complex128)
+    eye = obj.eye
 
     if obj.kind is PencilKind.KREISS_CONTINUOUS:
         x = z.real

@@ -13,12 +13,20 @@ The reduced forms are built from explicit closed-form inverses of the second
 member, never by numerical inversion, so the singularity guard is a pure
 scalar test.  The raw pair is retained for structure tests and as a seam for
 future structured eigensolvers.
+
+Everything in a reduced matrix that does not depend on the angle is gathered
+in ``PencilConstants``, built once per level: A^H and ||A||_2 (shared by all
+levels of a solve), the uncontrollability block ``B B^H / gamma - gamma I``,
+and an O(1)-per-angle upper bound on ||M(theta)||_2 that scales the
+certificate tolerances.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import Optional
 
 import numpy as np
 
@@ -27,20 +35,20 @@ from .linalg import as_complex_matrix, sigma_min
 __all__ = [
     "NearSingularSecondMember",
     "NonpositiveGamma",
+    "PencilConstants",
     "PencilKind",
     "PencilPair",
     "ReducedPencil",
     "build_dtu_pencil",
     "build_kc_pencil",
     "build_kd_pencil",
-    "build_pencil",
+    "pencil_constants",
     "reduced_dtu_matrix",
     "reduced_kc_matrix",
     "reduced_kd_matrix",
     "sigma_f",
     "sigma_g",
     "sigma_h",
-    "sigma_objective",
 ]
 
 SINGULARITY_GUARD = 1e-12
@@ -81,8 +89,77 @@ class ReducedPencil:
     theta: float
 
 
+@dataclass(frozen=True, eq=False)
+class PencilConstants:
+    """The theta-independent parts of one family's reduced matrix at ``gamma``.
+
+    ``ah``, ``eye`` and ``a_norm`` (A^H, I and ||A||_2) depend on A alone;
+    ``b_tilde`` (uncontrollability only) and ``level_norm`` depend on gamma
+    as well.  Build with ``pencil_constants``.
+    """
+
+    kind: PencilKind
+    gamma: float
+    ah: np.ndarray
+    eye: np.ndarray
+    a_norm: float
+    b_tilde: Optional[np.ndarray] = None
+    level_norm: float = math.nan
+
+    def norm_bound(self, theta: float) -> float:
+        """An upper bound on ||M(theta)||_2 of the reduced matrix, O(1) per angle.
+
+        Continuous-time: ``(1 + |c|) ||A|| / |1 - c^2|`` with c = gamma cos(theta).
+        Discrete-time: ``(1 + |g|)(||A|| + |g|) / |1 - g^2|`` with g = gamma.
+        Uncontrollability: exact, ``||[[A, B~], [-gamma I, A^H]]||_2``, since
+        M(theta) is the unitary diag(i e^{-i theta} I, i e^{i theta} I) times
+        that matrix.
+        """
+        if self.kind is PencilKind.KREISS_CONTINUOUS:
+            c = abs(self.gamma * math.cos(theta))
+            return (1.0 + c) * self.a_norm / abs(1.0 - c * c)
+        return self.level_norm
+
+
+def pencil_constants(
+    kind: PencilKind, a: np.ndarray, b, gamma: float, base: Optional[PencilConstants] = None
+) -> PencilConstants:
+    """Constants of family ``kind`` at level ``gamma`` for validated complex A (and B).
+
+    ``base``, the constants of the same A at another level, lends its A^H, I
+    and ||A||_2, so a solve computes them once.  Raises the family's guard
+    errors when gamma itself is degenerate.
+    """
+    if base is None:
+        ah, eye, a_norm = a.conj().T, _eye_like(a), float(np.linalg.norm(a, 2))
+    else:
+        ah, eye, a_norm = base.ah, base.eye, base.a_norm
+    if kind is PencilKind.KREISS_CONTINUOUS:
+        return PencilConstants(kind, gamma, ah, eye, a_norm)
+    if kind is PencilKind.KREISS_DISCRETE:
+        _check_kd_gamma(gamma)
+        g = abs(gamma)
+        bound = (1.0 + g) * (a_norm + g) / abs(1.0 - g * g)
+        return PencilConstants(kind, gamma, ah, eye, a_norm, level_norm=bound)
+    b_tilde = _b_tilde(b, gamma, eye)
+    exact = float(np.linalg.norm(_assemble(a, b_tilde, -gamma * eye, ah), 2))
+    return PencilConstants(kind, gamma, ah, eye, a_norm, b_tilde, exact)
+
+
 def _eye_like(a: np.ndarray) -> np.ndarray:
     return np.eye(a.shape[0], dtype=np.complex128)
+
+
+def _check_kd_gamma(gamma: float) -> None:
+    if abs(1.0 - abs(gamma)) <= SINGULARITY_GUARD:
+        raise NearSingularSecondMember(f"|gamma| = {abs(gamma)!r} within 1e-12 of 1")
+
+
+def _b_tilde(b: np.ndarray, gamma: float, eye: np.ndarray) -> np.ndarray:
+    """``B B^H / gamma - gamma I``, the uncontrollability pencil's coupling block."""
+    if gamma <= 0.0:
+        raise NonpositiveGamma(f"gamma must be positive, got {gamma!r}")
+    return (1.0 / gamma) * (b @ b.conj().T) - gamma * eye
 
 
 def _assemble(tl, tr, bl, br) -> np.ndarray:
@@ -96,8 +173,14 @@ def _assemble(tl, tr, bl, br) -> np.ndarray:
     return out
 
 
-def reduced_kc_matrix(a: np.ndarray, gamma: float, theta: float) -> np.ndarray:
-    """Closed-form reduced matrix of the continuous-time pencil."""
+def reduced_kc_matrix(
+    a: np.ndarray, gamma: float, theta: float, const: Optional[PencilConstants] = None
+) -> np.ndarray:
+    """Closed-form reduced matrix of the continuous-time pencil.
+
+    ``const``, from ``pencil_constants`` at the same A and gamma, supplies
+    A^H; every reduced builder gives the same matrix with or without it.
+    """
     gc = gamma * np.cos(theta)
     if abs(1.0 - abs(gc)) <= SINGULARITY_GUARD:
         raise NearSingularSecondMember(
@@ -105,20 +188,20 @@ def reduced_kc_matrix(a: np.ndarray, gamma: float, theta: float) -> np.ndarray:
         )
     e_p = np.exp(1j * theta)
     e_m = np.exp(-1j * theta)
-    ah = a.conj().T
+    ah = a.conj().T if const is None else const.ah
     s = 1j / (1.0 - gc * gc)
     return _assemble(s * e_m * a, s * gc * ah, s * gc * a, s * e_p * ah)
 
 
-def reduced_kd_matrix(a: np.ndarray, gamma: float, theta: float) -> np.ndarray:
+def reduced_kd_matrix(
+    a: np.ndarray, gamma: float, theta: float, const: Optional[PencilConstants] = None
+) -> np.ndarray:
     """Closed-form reduced matrix of the discrete-time pencil."""
-    if abs(1.0 - abs(gamma)) <= SINGULARITY_GUARD:
-        raise NearSingularSecondMember(f"|gamma| = {abs(gamma)!r} within 1e-12 of 1")
+    _check_kd_gamma(gamma)
     e_p = np.exp(1j * theta)
     e_m = np.exp(-1j * theta)
     g = gamma
-    ah = a.conj().T
-    eye = _eye_like(a)
+    ah, eye = (a.conj().T, _eye_like(a)) if const is None else (const.ah, const.eye)
     s = 1j / (1.0 - g * g)
     return _assemble(
         s * (e_m * a - g * g * eye),
@@ -128,17 +211,22 @@ def reduced_kd_matrix(a: np.ndarray, gamma: float, theta: float) -> np.ndarray:
     )
 
 
-def reduced_dtu_matrix(a: np.ndarray, b: np.ndarray, gamma: float, theta: float) -> np.ndarray:
+def reduced_dtu_matrix(
+    a: np.ndarray,
+    b: np.ndarray,
+    gamma: float,
+    theta: float,
+    const: Optional[PencilConstants] = None,
+) -> np.ndarray:
     """Closed-form reduced matrix of the uncontrollability pencil."""
-    if gamma <= 0.0:
-        raise NonpositiveGamma(f"gamma must be positive, got {gamma!r}")
     e_p = np.exp(1j * theta)
     e_m = np.exp(-1j * theta)
-    eye = _eye_like(a)
-    b_tilde = (1.0 / gamma) * (b @ b.conj().T) - gamma * eye
-    return _assemble(
-        1j * e_m * a, 1j * e_m * b_tilde, -1j * gamma * e_p * eye, 1j * e_p * a.conj().T
-    )
+    if const is None:
+        eye = _eye_like(a)
+        ah, b_tilde = a.conj().T, _b_tilde(b, gamma, eye)
+    else:
+        eye, ah, b_tilde = const.eye, const.ah, const.b_tilde
+    return _assemble(1j * e_m * a, 1j * e_m * b_tilde, -1j * gamma * e_p * eye, 1j * e_p * ah)
 
 
 def build_kc_pencil(a, gamma: float, theta: float) -> tuple[PencilPair, ReducedPencil]:
@@ -195,7 +283,7 @@ def build_dtu_pencil(a, b, gamma: float, theta: float) -> tuple[PencilPair, Redu
     eye = _eye_like(a)
     e_p = np.exp(1j * theta)
     e_m = np.exp(-1j * theta)
-    b_tilde = (1.0 / gamma) * (b @ b.conj().T) - gamma * eye
+    b_tilde = _b_tilde(b, gamma, eye)
     lhs = _assemble(a, b_tilde, gamma * eye, -a.conj().T)
     rhs = _assemble(-1j * e_p * eye, 0 * eye, 0 * eye, 1j * e_m * eye)
     kind = PencilKind.DIST_UNCONTROLLABLE
@@ -203,15 +291,6 @@ def build_dtu_pencil(a, b, gamma: float, theta: float) -> tuple[PencilPair, Redu
         PencilPair(lhs, rhs, kind, gamma, theta),
         ReducedPencil(reduced, kind, gamma, theta),
     )
-
-
-def build_pencil(kind: PencilKind, a, b, gamma: float, theta: float):
-    """Dispatch to the family selected by ``kind`` (b ignored unless DTU)."""
-    if kind is PencilKind.KREISS_CONTINUOUS:
-        return build_kc_pencil(a, gamma, theta)
-    if kind is PencilKind.KREISS_DISCRETE:
-        return build_kd_pencil(a, gamma, theta)
-    return build_dtu_pencil(a, b, gamma, theta)
 
 
 def sigma_g(a, r: float, theta: float) -> float:
@@ -243,12 +322,3 @@ def sigma_f(a, b, r: float, theta: float) -> float:
     b = np.asarray(b, dtype=np.complex128)
     z = r * np.exp(1j * theta)
     return sigma_min(np.hstack([a - z * np.eye(a.shape[0]), b]))
-
-
-def sigma_objective(kind: PencilKind, a, b, r: float, theta: float) -> float:
-    """The radial objective for ``kind`` at polar point (r, theta)."""
-    if kind is PencilKind.KREISS_CONTINUOUS:
-        return sigma_g(a, r, theta)
-    if kind is PencilKind.KREISS_DISCRETE:
-        return sigma_h(a, r, theta)
-    return sigma_f(a, b, r, theta)

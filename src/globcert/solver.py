@@ -12,6 +12,9 @@ zeros, the true certificate is re-evaluated at the interpolant's global
 minimizers and then at midpoints of consecutive interpolant roots; only when
 those checks also come back empty does the driver declare convergence.
 
+A round whose interpolation exhausts its degree and piece budgets ends the
+solve as ``Uncertified``, with the best gamma and minimizer found so far.
+
 Fast paths: normal stable matrices have transient bound exactly 1 (the
 infimum is approached only as r grows without bound, so the loop could not
 terminate on it), and unstable matrices have an infinite bound.
@@ -35,8 +38,9 @@ from .certificates import (
     eval_certificate,
     extract_restart_points,
 )
-from .chebinterp import Completed, InterpOptions, approximate
+from .chebinterp import BudgetExceeded, Completed, InterpOptions, approximate
 from .linalg import (
+    DecompositionError,
     as_complex_matrix,
     eigenvalues,
     is_normal,
@@ -44,8 +48,21 @@ from .linalg import (
     spectral_abscissa,
     spectral_radius,
 )
-from .localopt import InfeasibleStart, LocalMin, Objective, OptConfig, minimize
-from .pencils import NearSingularSecondMember, PencilKind, sigma_f
+from .localopt import (
+    InfeasiblePoint,
+    InfeasibleStart,
+    LocalMin,
+    Objective,
+    OptConfig,
+    minimize,
+)
+from .pencils import (
+    NearSingularSecondMember,
+    PencilConstants,
+    PencilKind,
+    pencil_constants,
+    sigma_f,
+)
 
 __all__ = [
     "RestartRecord",
@@ -72,6 +89,7 @@ class ZeroEigenvalue(ValueError):
 class SolveStatus(Enum):
     CONVERGED = "Converged"
     MAX_RESTARTS = "MaxRestarts"
+    UNCERTIFIED = "Uncertified"  # a certificate round ran out of interpolation budget
     TRIVIAL_NORMAL = "TrivialNormal"
     UNSTABLE_INFINITE = "UnstableInfinite"
 
@@ -168,14 +186,17 @@ class _Driver:
         self.samples_per_round: list[int] = []
         self.round = 0
         self.status = SolveStatus.CONVERGED
+        self.const: Optional[PencilConstants] = None  # of the latest certificate level
 
     # -- optimization ------------------------------------------------------
 
     def _optimize_from(self, points) -> Optional[LocalMin]:
         def run(z0):
+            # a start that is infeasible once rounded, or whose SVD fails,
+            # is dropped; any other error is a defect and propagates
             try:
                 return minimize(self.obj, z0, self.cfg.opt)
-            except Exception:
+            except (InfeasibleStart, InfeasiblePoint, DecompositionError):
                 return None
 
         results = [r for r in _pmap(run, points, self.cfg.workers) if r is not None]
@@ -208,7 +229,7 @@ class _Driver:
                 self.gamma = f0 * (1.0 - 10.0 * self.cfg.gamma_guard)
 
     def _certificate_round(self) -> str:
-        """One full certificate round; returns 'restart' or 'converged'."""
+        """One full certificate round; returns 'restart', 'converged' or 'uncertified'."""
         self._pre_round_gamma_guard()
         gamma_round = self.gamma
         full_circle = (self.domain[1] - self.domain[0]) > 1.5 * np.pi  # (-pi, pi] sweep
@@ -236,7 +257,7 @@ class _Driver:
 
                 def one(t):
                     return eval_certificate(
-                        self.kind, self.a, self.b, gamma_cert, t, self.cfg.policy
+                        self.kind, self.a, self.b, gamma_cert, t, self.cfg.policy, self.const
                     )
 
                 for t, cv in zip(missing, _pmap(one, missing, self.cfg.workers)):
@@ -258,9 +279,14 @@ class _Driver:
                 return cv.is_zero and cv.theta not in consumed
 
             try:
+                self.const = pencil_constants(
+                    self.kind, self.a, self.b, gamma_cert, base=self.const
+                )
                 verdict = self._round_body(
                     batch_eval, abort_on, consumed, stage, full_circle
                 )
+            except BudgetExceeded:
+                verdict = "uncertified"
             except NearSingularSecondMember:
                 # a sample landed on the degenerate level: perturb and retry
                 gamma_round *= 1.0 - 10.0 * self.cfg.gamma_guard
@@ -371,6 +397,9 @@ class _Driver:
             verdict = self._certificate_round()
             if verdict == "converged":
                 self.status = SolveStatus.CONVERGED
+                return self
+            if verdict == "uncertified":
+                self.status = SolveStatus.UNCERTIFIED
                 return self
 
     def _dtu_zero(self) -> bool:

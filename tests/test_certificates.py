@@ -9,13 +9,14 @@ from globcert.certificates import (
     CertificateValue,
     EvalPolicy,
     NoAcceptedCandidates,
+    eval_certificate,
     eval_f,
     eval_g,
     eval_h,
     extract_restart_points,
 )
 from globcert.oracle import ray_scan
-from globcert.pencils import PencilKind
+from globcert.pencils import PencilKind, pencil_constants
 
 PI_SQ = np.pi**2
 
@@ -86,6 +87,34 @@ def test_range_and_zero_iff_candidates():
                 assert cv.value == 0.0
                 for c in c_accepted(cv):
                     assert c.verified_value <= g * (1 + 1e-10)
+
+
+def test_eval_certificate_same_with_and_without_constants():
+    gen = rng(35)
+    kinds = list(PencilKind)
+    evaluated = 0
+    for _ in range(40):
+        n = int(gen.integers(1, 6))
+        a = random_complex(gen, n)
+        b = random_complex(gen, n, 1)
+        g = float(gen.uniform(0.05, 2.5))
+        const = {}
+        for th in gen.uniform(-1.4, 1.4, 4):
+            th = float(th)
+            for kind in kinds:
+                bk = b if kind is PencilKind.DIST_UNCONTROLLABLE else None
+                try:
+                    plain = eval_certificate(kind, a, bk, g, th)
+                except (ArithmeticError, ValueError):
+                    continue  # a degenerate level or a zero pencil eigenvalue
+                if kind not in const:
+                    const[kind] = pencil_constants(kind, a, bk, g)
+                assert eval_certificate(kind, a, bk, g, th, EvalPolicy(), const[kind]) == plain
+                evaluated += 1
+    assert evaluated > 300
+    with pytest.raises(ValueError):
+        eval_certificate(PencilKind.DIST_UNCONTROLLABLE, a, b, 2 * g, 0.0, EvalPolicy(),
+                         const[PencilKind.DIST_UNCONTROLLABLE])
 
 
 def c_accepted(cv):

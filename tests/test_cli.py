@@ -8,9 +8,10 @@ import numpy as np
 import pytest
 
 from conftest import random_complex, rng
+import globcert.cli as cli
 from globcert.cli import main, parse_args, result_to_dict
 from globcert.mmio import MatrixMarketError, read_matrix, write_matrix
-from globcert.solver import kreiss_continuous
+from globcert.solver import SolveResult, SolveStatus, kreiss_continuous
 
 
 def test_parse_args_kreiss_c(tmp_path):
@@ -156,6 +157,19 @@ def test_cli_exit_codes(tmp_path):
     assert main(["kreiss-c", str(a_path)]) == 2
     assert main(["kreiss-c", str(tmp_path / "missing.mtx")]) == 1
     assert main(["kreiss-d", "whatever.mtx", "--start", "0.5"]) == 1
+
+
+def test_cli_uncertified_exits_like_max_restarts(tmp_path, monkeypatch, capsys):
+    a_path = tmp_path / "A.mtx"
+    write_matrix(a_path, np.array([[0.5, 2.0], [0.0, 0.4]]))
+    for status in (SolveStatus.MAX_RESTARTS, SolveStatus.UNCERTIFIED):
+        res = SolveResult(2.0, 0.5, 1.5 + 0j, status, certificate_samples=(17, 40))
+        monkeypatch.setattr(cli, "kreiss_discrete", lambda a, starts, cfg, res=res: res)
+        json_path = tmp_path / f"{status.value}.json"
+        assert main(["kreiss-d", str(a_path), "--json", str(json_path)]) == 1
+        assert f"status = {status.value}" in capsys.readouterr().out
+        data = json.loads(json_path.read_text())
+        assert data["status"] == status.value and data["quantity"] == 2.0
 
 
 def test_cli_trivial_normal_and_verify(tmp_path, capsys):

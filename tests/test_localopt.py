@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from conftest import assert_close, random_complex, rng, stable_continuous
+from globcert.linalg import smallest_singular_triplet
 from globcert.localopt import (
     InfeasiblePoint,
     InfeasibleStart,
     Objective,
+    _triplet_info,
     minimize,
     objective_value_grad,
 )
@@ -22,6 +24,19 @@ def test_objective_validation():
         Objective(PencilKind.KREISS_CONTINUOUS, np.eye(2), np.eye(2))  # stray B
     with pytest.raises(ValueError):
         Objective(PencilKind.DIST_UNCONTROLLABLE, np.eye(2), np.eye(3))
+
+
+def test_triplet_info_bitwise_equal_to_smallest_singular_triplet():
+    gen = rng(18)
+    for rows, cols in ((1, 1), (3, 3), (6, 6), (4, 6), (8, 9)):
+        m = random_complex(gen, rows, cols)
+        trip, _ = _triplet_info(m)
+        ref = smallest_singular_triplet(m)
+        assert trip.sigma == ref.sigma
+        assert np.array_equal(trip.u, ref.u) and np.array_equal(trip.v, ref.v)
+    # a repeated smallest singular value is flagged, a simple one is not
+    assert _triplet_info(np.diag([3.0, 1.0, 1.0]).astype(complex))[1]
+    assert not _triplet_info(np.diag([3.0, 2.0, 1.0]).astype(complex))[1]
 
 
 def test_dtu_scalar_value_and_gradient():

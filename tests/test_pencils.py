@@ -8,9 +8,14 @@ from globcert.linalg import cond2, eigenvalues, norm2, spectra_match
 from globcert.pencils import (
     NearSingularSecondMember,
     NonpositiveGamma,
+    PencilKind,
     build_dtu_pencil,
     build_kc_pencil,
     build_kd_pencil,
+    pencil_constants,
+    reduced_dtu_matrix,
+    reduced_kc_matrix,
+    reduced_kd_matrix,
     sigma_f,
     sigma_g,
     sigma_h,
@@ -103,6 +108,53 @@ def test_structure_invariants_random():
             _assert_structure(pair)
         pair, _ = build_dtu_pencil(a, b, g, th)
         _assert_structure(pair)
+
+
+def test_norm_bound_dominates_reduced_norm():
+    # the per-level tolerance scale must never fall below ||M(theta)||_2, so
+    # it can only widen the nominated set; for dtu it is the norm itself
+    gen = rng(29)
+    kc, kd, dtu = (
+        PencilKind.KREISS_CONTINUOUS,
+        PencilKind.KREISS_DISCRETE,
+        PencilKind.DIST_UNCONTROLLABLE,
+    )
+    for _ in range(200):
+        n = int(gen.integers(1, 7))
+        a = random_complex(gen, n) * float(gen.uniform(0.1, 3.0))
+        b = random_complex(gen, n, int(gen.integers(1, 4)))
+        th = float(gen.uniform(-np.pi, np.pi))
+        g = float(gen.uniform(0.05, 3.0))
+        cases = [(dtu, lambda c: reduced_dtu_matrix(a, b, g, th, c), True)]
+        if abs(1 - abs(g * np.cos(th))) > 1e-6:
+            cases.append((kc, lambda c: reduced_kc_matrix(a, g, th, c), False))
+        if abs(1 - g) > 1e-6:
+            cases.append((kd, lambda c: reduced_kd_matrix(a, g, th, c), False))
+        for kind, build, exact in cases:
+            const = pencil_constants(kind, a, b if kind is dtu else None, g)
+            m = build(const)
+            assert np.array_equal(m, build(None))
+            norm = np.linalg.norm(m, 2)
+            bound = const.norm_bound(th)
+            assert bound >= norm * (1.0 - 1e-14), (kind, bound, norm)
+            if exact:
+                assert_close(bound, norm, rel=1e-12)
+
+
+def test_pencil_constants_reuse_base():
+    gen = rng(30)
+    a = random_complex(gen, 4)
+    b = random_complex(gen, 4, 2)
+    first = pencil_constants(PencilKind.DIST_UNCONTROLLABLE, a, b, 0.3)
+    second = pencil_constants(PencilKind.DIST_UNCONTROLLABLE, a, b, 0.7, base=first)
+    fresh = pencil_constants(PencilKind.DIST_UNCONTROLLABLE, a, b, 0.7)
+    assert second.ah is first.ah and second.a_norm == first.a_norm
+    assert np.array_equal(second.b_tilde, fresh.b_tilde)
+    assert second.level_norm == fresh.level_norm
+    with pytest.raises(NearSingularSecondMember):
+        pencil_constants(PencilKind.KREISS_DISCRETE, a, None, 1.0 - 5e-13, base=first)
+    with pytest.raises(NonpositiveGamma):
+        pencil_constants(PencilKind.DIST_UNCONTROLLABLE, a, b, 0.0, base=first)
 
 
 def test_determinant_identities():

@@ -5,8 +5,11 @@ import dataclasses
 import numpy as np
 import pytest
 
+import globcert.solver as solver
 from conftest import assert_close, random_complex, rng, stable_continuous
-from globcert.linalg import norm2
+from globcert.chebinterp import InterpOptions
+from globcert.demos import grcar
+from globcert.linalg import norm2, spectral_radius
 from globcert.localopt import InfeasibleStart, Objective, objective_value_grad
 from globcert.oracle import GridSpec, grid_min
 from globcert.pencils import PencilKind
@@ -171,6 +174,54 @@ def test_max_restarts_caps_certification():
     assert len(res.restarts) == 1
     # the best value found so far is still reported as a valid upper bound
     assert_close(res.quantity, 2.125, rel=1e-8)
+
+
+def test_budget_exhaustion_returns_uncertified():
+    # discrete Grcar(10) has certificate jumps that split the probe
+    # interpolant into dozens of pieces; four pieces run out in the second
+    # round, which used to raise BudgetExceeded out of the solve
+    a = grcar(10)
+    a = a / (1.01 * spectral_radius(a))
+    res = kreiss_discrete(a, [1.5], SolverConfig(interp=InterpOptions(max_pieces=4)))
+    assert res.status is SolveStatus.UNCERTIFIED
+    assert np.isfinite(res.quantity) and res.quantity == 1.0 / res.gamma_final
+    assert abs(res.minimizer) > 1.0
+    obj = Objective(PencilKind.KREISS_DISCRETE, a)
+    assert_close(objective_value_grad(obj, res.minimizer)[0], res.gamma_final, rel=1e-12)
+    assert len(res.certificate_samples) == 2 and res.certificate_samples[-1] > 0
+    assert sum(res.certificate_samples) == len(res.trace)
+
+
+def _continuous_state():
+    a = np.array([[-0.5, 5.0], [0.0, -0.5]], dtype=complex)
+    return _Driver(PencilKind.KREISS_CONTINUOUS, a, None, [], SolverConfig(), (0.0, np.pi / 2))
+
+
+def test_optimize_from_propagates_unexpected_errors(monkeypatch):
+    def broken(obj, z0, cfg):
+        raise ZeroDivisionError("a defect, not an infeasible start")
+
+    monkeypatch.setattr(solver, "minimize", broken)
+    with pytest.raises(ZeroDivisionError):
+        _continuous_state()._optimize_from([1 + 1j])
+
+
+def test_optimize_from_drops_infeasible_starts(monkeypatch):
+    real = solver.minimize
+    calls = []
+
+    def picky(obj, z0, cfg):
+        calls.append(z0)
+        if z0 == 2 + 2j:
+            raise InfeasibleStart("rejected")
+        return real(obj, z0, cfg)
+
+    monkeypatch.setattr(solver, "minimize", picky)
+    drv = _continuous_state()
+    res = drv._optimize_from([2 + 2j, 1 + 1j])
+    assert calls == [2 + 2j, 1 + 1j]
+    assert res == real(drv.obj, 1 + 1j, drv.cfg.opt)
+    assert drv._optimize_from([2 + 2j]) is None
 
 
 def test_solver_config_validation():
