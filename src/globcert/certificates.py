@@ -1,15 +1,21 @@
 """Angular certificate functions for the three radial level-set tests.
 
 For a level ``gamma`` and ray angle ``theta``, each certificate computes the
-spectrum of the corresponding reduced pencil and returns the minimum of
-``Arg(-i*lambda)^2`` over eigenvalues with ``Re(lambda) <= 0``.  The value is
-zero exactly when the ray meets the gamma-level set (or a lower one) of the
-underlying singular-value surface, and every near-axis eigenvalue nominating
-such a crossing is verified by one direct sigma_min evaluation before it may
-force the value to zero.  That direct recheck replaces the structured
-eigensolver backup pass: a nominated point is only useful if the objective
-there is at most gamma, and the recheck answers exactly that, immune to
-rounding in the eigensolve.
+spectrum of the corresponding reduced pencil and returns one formula for
+every family: the minimum of ``Arg(mu - r_floor)^2``, with ``mu = -i*lambda``,
+over eigenvalues with ``Re(lambda) <= 0``.  The radius floor is 0 for the
+continuous-time and uncontrollability families and 1 for the discrete-time
+family, whose crossings count only outside the unit circle.  An eigenvalue
+that leaves the half-plane at ``mu > r_floor`` marks a crossing and reads 0;
+one that leaves below the floor reads pi^2, the maximum, so eigenvalues
+entering or leaving the half-plane cause no jump.  The value is zero exactly
+when the ray meets the gamma-level set (or a lower one) of the underlying
+singular-value surface beyond the floor, and every near-axis eigenvalue
+nominating such a crossing is verified by one direct sigma_min evaluation
+before it may force the value to zero.  That direct recheck replaces the
+structured eigensolver backup pass: a nominated point is only useful if the
+objective there is at most gamma, and the recheck answers exactly that,
+immune to rounding in the eigensolve.
 
 A sample costs one eigensolve of the 2n x 2n reduced matrix plus its
 rechecks.  The tolerances are scaled by the family's O(1) upper bound on the
@@ -75,18 +81,18 @@ class EvalPolicy:
 
     imag_tol is relative to the family's upper bound on the reduced matrix's
     2-norm (``PencilConstants.norm_bound``), exact for the uncontrollability
-    family and at least the norm for the two Kreiss families; ellipse_delta
-    is the half-width of the discrete-time exclusion ellipse
-    ``x^2/delta^2 + y^2 = 1``; verify_tol is the relative slack on the
-    recheck ``sigma_min <= gamma * (1 + verify_tol)``.
+    family and at least the norm for the two Kreiss families: an eigenvalue
+    that close to ``i*[r_floor, inf)`` nominates a level-set radius.
+    verify_tol is the relative slack on the recheck
+    ``sigma_min <= gamma * (1 + verify_tol)``.  All three families share one
+    certificate formula and these two tolerances (see the module docstring).
     """
 
     imag_tol: float = 1e-8
-    ellipse_delta: float = 1e-8
     verify_tol: float = 1e-8
 
     def __post_init__(self):
-        if self.imag_tol <= 0 or self.ellipse_delta <= 0 or self.verify_tol <= 0:
+        if self.imag_tol <= 0 or self.verify_tol <= 0:
             raise ValueError("EvalPolicy tolerances must be positive")
 
 
@@ -152,34 +158,17 @@ def _certificate(kind, a, b, gamma, theta, policy, const: PencilConstants):
             f"numerically zero relative to the pencil norm bound {scale!r}"
         )
 
-    discrete = kind is PencilKind.KREISS_DISCRETE
-    if discrete:
-        # exact [0, i] segment exclusion, then the eccentric ellipse guard
-        on_segment = (lam.real == 0.0) & (lam.imag >= 0.0) & (lam.imag <= 1.0)
-        lam = lam[~on_segment]
-        d = policy.ellipse_delta
-        inside = (lam.real / d) ** 2 + lam.imag**2 < 1.0
-        lam = lam[~inside]
-
-    relevant = lam[lam.real <= 0.0]
+    mu = lam / 1j  # rotate: the positive imaginary axis -> positive reals
+    relevant = mu[lam.real <= 0.0]
     if relevant.size == 0:
-        # every surviving eigenvalue was discarded by the guards above; the
-        # discarded ones near [-i, 0] would each have contributed pi^2
-        value = PI_SQ
+        value = PI_SQ  # no eigenvalue in the closed left half-plane
     else:
-        mu = relevant / 1j  # rotate: the positive imaginary axis -> positive reals
-        value = float(np.min(np.angle(mu) ** 2))
+        value = float(np.min(np.angle(relevant - r_floor) ** 2))
 
     # nominate eigenvalues close to i*[r_floor, inf) as level-set radii
-    mu_all = lam / 1j
     tol = policy.imag_tol * scale
-    if r_floor == 0.0:
-        dist = np.where(mu_all.real >= 0.0, np.abs(mu_all.imag), np.abs(mu_all))
-    else:
-        dist = np.where(
-            mu_all.real >= r_floor, np.abs(mu_all.imag), np.abs(mu_all - r_floor)
-        )
-    flagged = np.sort(mu_all[(dist <= tol) & (mu_all.real > r_floor)].real)
+    dist = np.where(mu.real >= r_floor, np.abs(mu.imag), np.abs(mu - r_floor))
+    flagged = np.sort(mu[(dist <= tol) & (mu.real > r_floor)].real)
 
     candidates = []
     for r in flagged:

@@ -407,7 +407,6 @@ class InterpOptions:
     min_samples: int = 17
     max_degree: int = 2**14 + 1
     max_pieces: int = 64
-    edge_detect: bool = True
 
     def __post_init__(self):
         if self.min_samples < 5:
@@ -554,7 +553,7 @@ def _run_ladder(sampler: _Sampler, a: float, b: float, opts: InterpOptions) -> n
                 return _trim_coeffs(coeffs, opts.tol * fscale * 0.5)
             # split only when the plateau sits far above the target: a tail
             # within a few decades of tol is cheaper to finish by doubling
-            if opts.edge_detect and tail > 1e3 * opts.tol * fscale:
+            if tail > 1e3 * opts.tol * fscale:
                 raise _NeedSplit(coeffs, tail)
         if 2 * m + 1 > opts.max_degree:
             if within_contract:
@@ -633,12 +632,6 @@ def approximate(
                 if noise_limited or (b - a) <= width_floor:
                     done.append(ChebPiece(a, b, ns.best_coeffs))
                     continue
-                if not opts.edge_detect:
-                    raise _budget(
-                        f"max_degree={opts.max_degree} reached on [{a!r}, {b!r}] "
-                        "with edge detection disabled",
-                        [(a, b, ns.best_coeffs)],
-                    ) from None
                 if splits_used + 1 >= opts.max_pieces:
                     raise _budget(
                         f"piece budget max_pieces={opts.max_pieces} exhausted",

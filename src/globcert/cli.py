@@ -93,7 +93,6 @@ def _add_common(p: argparse.ArgumentParser, with_solver_opts: bool = True):
         p.add_argument("--tol-restart", type=float, default=1e-6, help="relative restart threshold")
         p.add_argument("--gamma-guard", type=float, default=1e-14, help="certificate level safeguard")
         p.add_argument("--imag-tol", type=float, default=1e-8, help="near-axis eigenvalue tolerance")
-        p.add_argument("--ellipse-delta", type=float, default=1e-8, help="discrete-time exclusion ellipse width")
         p.add_argument("--workers", type=int, default=None, help="concurrent certificate evaluations")
         p.add_argument("--min-samples", type=int, default=17, help="initial interpolation grid size")
         p.add_argument("--max-restarts", type=int, default=50, help="restart budget")
@@ -173,7 +172,7 @@ def parse_args(argv) -> RunRequest:
         restart_rel=ns.tol_restart,
         gamma_guard=ns.gamma_guard,
         interp=InterpOptions(min_samples=ns.min_samples),
-        policy=EvalPolicy(imag_tol=ns.imag_tol, ellipse_delta=ns.ellipse_delta),
+        policy=EvalPolicy(imag_tol=ns.imag_tol),
         max_restarts=ns.max_restarts,
         workers=ns.workers if ns.workers else _default_workers(),
         shift_center=getattr(ns, "shift_center", False),

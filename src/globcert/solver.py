@@ -5,12 +5,17 @@ estimate ``gamma`` of the target quantity.  A certificate round then sweeps
 the angular domain, adaptively interpolating the certificate function
 evaluated at the safeguarded level ``gamma * (1 - gamma_guard)``: any sampled
 zero nominates level-set points, and optimization restarts from all of them
-when it improves gamma by at least ``restart_rel`` relative.  Zeros whose
-restarts cannot improve gamma are numerically stationary; they are consumed
-and sampling continues.  Once an interpolant completes without unconsumed
-zeros, the true certificate is re-evaluated at the interpolant's global
-minimizers and then at midpoints of consecutive interpolant roots; only when
-those checks also come back empty does the driver declare convergence.
+when it improves gamma by at least ``restart_rel`` relative.  A restart that
+improves gamma by less than ``term_rel`` relative (including not at all)
+marks the zeros as numerically stationary and ends the round as converged,
+without sweeping the rest of the domain; ROADMAP item 1 tracks making such
+zeros be consumed instead.  Zeros whose restarts improve gamma by an amount
+between the two thresholds, or whose nominations all fail their recheck,
+are consumed and sampling continues.  Once an interpolant completes without
+unconsumed zeros, the true certificate is re-evaluated at the interpolant's
+global minimizers and then at midpoints of consecutive interpolant roots;
+only when those checks also come back empty does the driver declare
+convergence.
 
 A round whose interpolation exhausts its degree and piece budgets ends the
 solve as ``Uncertified``, with the best gamma and minimizer found so far.

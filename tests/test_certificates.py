@@ -15,6 +15,8 @@ from globcert.certificates import (
     eval_h,
     extract_restart_points,
 )
+from globcert.demos import grcar
+from globcert.linalg import spectral_radius
 from globcert.oracle import ray_scan
 from globcert.pencils import PencilKind, pencil_constants
 
@@ -39,7 +41,7 @@ def test_g_diag_crossings_verified():
     assert all(c.accepted for c in cv.candidates)
 
 
-def test_h_zero_matrix_segment_exclusion():
+def test_h_zero_matrix_no_false_zeros_below_unit_radius():
     cv = eval_h(np.zeros((2, 2)), 0.5, 0.0)
     assert_close(cv.value, PI_SQ, rel=1e-12)
     assert cv.candidates == ()
@@ -121,11 +123,26 @@ def c_accepted(cv):
     return [c for c in cv.candidates if c.accepted]
 
 
-def test_ellipse_guard_blocks_near_segment_eigenvalue():
-    # an eigenvalue at 1e-9 + 0.5i lies inside the delta=1e-8 ellipse
-    x, y = 1e-9, 0.5
-    d = EvalPolicy().ellipse_delta
-    assert (x / d) ** 2 + y**2 < 1.0
+def test_h_tiny_matrix_eigenvalue_inside_unit_radius_reads_no_zero():
+    # for A near 0 the reduced pencil at level 0.5 has eigenvalues at
+    # mu = -i*lambda ~ 1/3, a rounding-level distance from the real axis and
+    # inside radius 1; measured from r = 1 they read about pi^2, not ~0
+    a = 1e-9 * random_complex(rng(43), 2)
+    for th in np.linspace(-np.pi, np.pi, 9):
+        cv = eval_h(a, 0.5, float(th))
+        assert cv.value > 1.0
+        assert not any(c.accepted and c.r <= 1.0 for c in cv.candidates)
+
+
+def test_h_continuous_across_inner_crossing():
+    # on scaled Grcar(10) at the certified level a pencil eigenvalue crosses
+    # the real mu-axis inside radius 1 near theta = 0.5632; measured from
+    # mu = 0 the certificate jumped there by 0.054
+    a = grcar(10)
+    a = a / (1.01 * spectral_radius(a))
+    gamma = 0.4144828902275395 * (1.0 - 1e-14)
+    values = [eval_h(a, gamma, float(th)).value for th in np.linspace(0.55, 0.58, 301)]
+    assert np.max(np.abs(np.diff(values))) <= 1e-3
 
 
 def test_h_near_unimodular_eigenvalue_stays_positive():

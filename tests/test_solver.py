@@ -177,12 +177,12 @@ def test_max_restarts_caps_certification():
 
 
 def test_budget_exhaustion_returns_uncertified():
-    # discrete Grcar(10) has certificate jumps that split the probe
-    # interpolant into dozens of pieces; four pieces run out in the second
-    # round, which used to raise BudgetExceeded out of the solve
+    # the second certificate round on discrete Grcar(10) needs two pieces;
+    # a budget of one runs out there, which used to raise BudgetExceeded out
+    # of the solve
     a = grcar(10)
     a = a / (1.01 * spectral_radius(a))
-    res = kreiss_discrete(a, [1.5], SolverConfig(interp=InterpOptions(max_pieces=4)))
+    res = kreiss_discrete(a, [1.5], SolverConfig(interp=InterpOptions(max_pieces=1)))
     assert res.status is SolveStatus.UNCERTIFIED
     assert np.isfinite(res.quantity) and res.quantity == 1.0 / res.gamma_final
     assert abs(res.minimizer) > 1.0
@@ -190,6 +190,17 @@ def test_budget_exhaustion_returns_uncertified():
     assert_close(objective_value_grad(obj, res.minimizer)[0], res.gamma_final, rel=1e-12)
     assert len(res.certificate_samples) == 2 and res.certificate_samples[-1] > 0
     assert sum(res.certificate_samples) == len(res.trace)
+
+
+def test_discrete_grcar20_converges():
+    # measured from mu = 0, the discrete certificate jumped wherever a pencil
+    # eigenvalue crossed the real axis inside radius 1, and the graded splits
+    # into those jumps ran out of the piece budget (Uncertified)
+    a = grcar(20)
+    a = a / (1.01 * spectral_radius(a))
+    res = kreiss_discrete(a, [1.5])
+    assert res.status is SolveStatus.CONVERGED
+    assert_close(res.quantity, 26.186897001806397, rel=1e-12)
 
 
 def _continuous_state():
