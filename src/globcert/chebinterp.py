@@ -11,6 +11,9 @@ caller-supplied predicate can abort the whole construction as soon as any
 batch contains a triggering sample.  The construction is deterministic: it
 depends only on the sampled values, never on evaluation order.
 
+Values and coefficients are exchanged by a DCT-I computed as numpy's real
+FFT of the even extension, so the engine imports nothing beyond numpy.
+
 Root finding subdivides the coefficients down to colleague-matrix size for
 moderate degrees and brackets sign changes on an oversampled value grid for
 high ones; global minimization combines piece endpoints with derivative
@@ -23,7 +26,6 @@ from dataclasses import dataclass
 from typing import Any, Callable, Optional, Sequence
 
 import numpy as np
-from scipy.fft import dct
 
 __all__ = [
     "Aborted",
@@ -67,6 +69,15 @@ def chebpts(m: int, a: float = -1.0, b: float = 1.0) -> np.ndarray:
     return 0.5 * (a + b) + 0.5 * (b - a) * t
 
 
+def _dct1(x: np.ndarray) -> np.ndarray:
+    """Unnormalized DCT-I: the real FFT of the even extension of ``x``.
+
+    This is the pocketfft algorithm that ``scipy.fft.dct(x, type=1)`` runs,
+    bit for bit, without importing scipy.  Needs ``x.size >= 2``.
+    """
+    return np.fft.rfft(np.concatenate([x, x[-2:0:-1]])).real
+
+
 def vals2coeffs(values: np.ndarray) -> np.ndarray:
     """Chebyshev coefficients interpolating values at second-kind points.
 
@@ -76,7 +87,7 @@ def vals2coeffs(values: np.ndarray) -> np.ndarray:
     m = v.size - 1
     if m == 0:
         return v.copy()
-    c = dct(v[::-1], type=1) / m
+    c = _dct1(v[::-1]) / m
     c[0] /= 2.0
     c[m] /= 2.0
     return c
@@ -91,7 +102,7 @@ def coeffs2vals(c: np.ndarray) -> np.ndarray:
     u = c.copy()
     u[0] *= 2.0
     u[m] *= 2.0
-    return (dct(u, type=1) / 2.0)[::-1]
+    return (_dct1(u) / 2.0)[::-1]
 
 
 def _clenshaw(c: np.ndarray, t) -> np.ndarray:
@@ -187,7 +198,7 @@ def _unit_roots(c: np.ndarray, tiny: float) -> list[float]:
 
     Subdivision on the coefficients down to colleague-matrix size for
     moderate degrees; for high degrees, sign changes are bracketed on a
-    twice-oversampled value grid (obtained by the fast transform) and each
+    twice-oversampled value grid (obtained by the real-FFT DCT-I) and each
     bracket is resolved by bisection plus Newton polish.  Grid minima of |p|
     that dip to the rounding floor are kept as tangential-root candidates.
     """

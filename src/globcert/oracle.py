@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-import scipy.linalg
 
 from .linalg import as_complex_matrix, norm2
 from .localopt import Objective, minimize
@@ -147,6 +146,8 @@ def transient_samples(a, t_grid) -> np.ndarray:
     Uses scaling-and-squaring with Pade approximation.  Raises OverflowError
     when a strongly unstable A drives the norm out of double range.
     """
+    import scipy.linalg  # the only scipy user; kept off the import path
+
     a = as_complex_matrix(a)
     out = []
     for t in np.asarray(t_grid, dtype=float):

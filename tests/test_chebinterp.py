@@ -11,6 +11,7 @@ from globcert.chebinterp import (
     InterpOptions,
     OutOfDomain,
     approximate,
+    coeffs2vals,
     vals2coeffs,
 )
 
@@ -32,6 +33,45 @@ def test_vals2coeffs_reproduces_samples():
         t = np.cos(np.pi * np.arange(m, -1, -1) / m)
         recon = np.polynomial.chebyshev.chebval(t, c)
         assert np.max(np.abs(recon - v)) <= 1e-14 * max(1.0, np.max(np.abs(v)))
+
+
+def _same_bits(x, y):
+    return x.shape == y.shape and np.array_equal(x.view(np.int64), y.view(np.int64))
+
+
+def test_transforms_bitwise_equal_to_scipy_dct():
+    # the numpy DCT-I must reproduce the former scipy.fft.dct(type=1) forms
+    # bit for bit, so that no certificate sample path moves
+    from scipy.fft import dct
+
+    gen = rng(43)
+    lengths = [2, 3, 4, 5] + [2**k + 1 for k in range(4, 15)]  # 17 .. 16,385
+    for size in lengths:
+        m = size - 1
+        for scale in (1.0, 1e-9, 1e7):
+            v = scale * gen.standard_normal(size)
+            c = dct(v[::-1], type=1) / m
+            c[0] /= 2.0
+            c[m] /= 2.0
+            assert _same_bits(vals2coeffs(v), c), size
+            u = v.copy()
+            u[0] *= 2.0
+            u[m] *= 2.0
+            assert _same_bits(coeffs2vals(v), (dct(u, type=1) / 2.0)[::-1]), size
+
+
+def test_vals2coeffs_matches_cosine_sum():
+    gen = rng(44)
+    for m in range(1, 65):
+        v = gen.standard_normal(m + 1)
+        j = np.arange(m + 1)
+        w = np.full(m + 1, 2.0 / m)
+        w[[0, m]] /= 2.0
+        # c_k = (2/m) sum'' v(x_j) cos(pi j k / m), x_j = cos(pi j / m) descending
+        ref = (np.cos(np.pi * np.outer(j, j) / m) * w) @ v[::-1]
+        ref[[0, m]] /= 2.0
+        err = np.max(np.abs(vals2coeffs(v) - ref))
+        assert err <= 1e-13 * np.max(np.abs(ref)), m
 
 
 def test_square_is_exact_single_piece():

@@ -1,8 +1,10 @@
 """Command line: parsing, matrix I/O round trips, JSON schema, exit codes."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -196,3 +198,22 @@ def test_console_script_help():
     )
     assert proc.returncode == 0
     assert "kreiss-c" in proc.stdout
+
+
+def test_imports_load_no_scipy():
+    # scipy costs most of a cold start; only oracle.transient_samples needs it
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    code = (
+        "import sys\n"
+        "def scipy_modules():\n"
+        "    return sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))\n"
+        "import globcert\n"
+        "print(scipy_modules())\n"
+        "import globcert.cli\n"
+        "print(scipy_modules())\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n")[:2] == ["[]", "[]"], proc.stdout[:500]
