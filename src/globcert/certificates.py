@@ -24,6 +24,12 @@ SVD: the bound is exact for the uncontrollability family and at least the
 norm for the other two, so it can only widen the nominated set, and every
 nomination is still rechecked.  A and B are validated once, where a caller
 enters without per-level constants.
+
+Angles are evaluated a chunk at a time (``eval_certificates``): the reduced
+matrices of a chunk are built into one stack, which takes one
+``np.linalg.eigvals`` call, and the eigenvalues are classified with
+whole-array operations.  Every result is bit for bit what the angle gives
+alone, so neither the chunk size nor the caller's batching changes a value.
 """
 
 from __future__ import annotations
@@ -36,6 +42,7 @@ import numpy as np
 
 from .linalg import as_complex_matrix
 from .pencils import (
+    NearSingularSecondMember,
     PencilConstants,
     PencilKind,
     pencil_constants,
@@ -53,7 +60,9 @@ __all__ = [
     "EvalPolicy",
     "NearZeroPencilEigenvalue",
     "NoAcceptedCandidates",
+    "chunk_length",
     "eval_certificate",
+    "eval_certificates",
     "eval_f",
     "eval_g",
     "eval_h",
@@ -61,6 +70,10 @@ __all__ = [
 ]
 
 PI_SQ = math.pi * math.pi
+_TINY = np.finfo(float).tiny
+
+# Bytes of reduced matrices stacked into one eigensolve call.
+CHUNK_BYTES = 1 << 20
 
 
 class NearZeroPencilEigenvalue(ArithmeticError):
@@ -96,7 +109,7 @@ class EvalPolicy:
             raise ValueError("EvalPolicy tolerances must be positive")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CandidatePoint:
     """A nominated level-set radius on the ray, with its recheck result."""
 
@@ -106,7 +119,7 @@ class CandidatePoint:
     accepted: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CertificateValue:
     """One certificate evaluation at angle ``theta``.
 
@@ -127,68 +140,73 @@ class CertificateValue:
         return self.value == 0.0 and any(c.accepted for c in self.candidates)
 
 
-def _certificate(kind, a, b, gamma, theta, policy, const: PencilConstants):
-    """Shared evaluation core; see eval_g/eval_h/eval_f for the contracts."""
+def _recheck(kind, a, b, r: float, theta: float) -> float:
+    """The family's objective at the nominated point ``r e^{i theta}``, from one SVD."""
     if kind is PencilKind.KREISS_CONTINUOUS:
-        matrix = reduced_kc_matrix(a, gamma, theta, const)
-        r_floor = 0.0
+        return sigma_g(a, r, theta)
+    if kind is PencilKind.KREISS_DISCRETE:
+        return sigma_h(a, r, theta)
+    return sigma_f(a, b, r, theta)
 
-        def verify(r):
-            return sigma_g(a, r, theta)
 
-    elif kind is PencilKind.KREISS_DISCRETE:
-        matrix = reduced_kd_matrix(a, gamma, theta, const)
-        r_floor = 1.0
+def _eval_chunk(kind, a, b, gamma, thetas: list[float], policy, const) -> list[CertificateValue]:
+    """Certificate values at ``thetas``, from one stacked eigensolve.
 
-        def verify(r):
-            return sigma_h(a, r, theta)
+    Classification is whole-array work on the stack; only rows that nominate
+    radii, or whose pencil has a zero eigenvalue, are visited one by one, in
+    angle order, so the first offending angle raises, as if the angles were
+    evaluated one after another.
+    """
+    t = np.array(thetas)
+    try:
+        if kind is PencilKind.KREISS_CONTINUOUS:
+            stack, r_floor = reduced_kc_matrix(a, gamma, t, const), 0.0
+        elif kind is PencilKind.KREISS_DISCRETE:
+            stack, r_floor = reduced_kd_matrix(a, gamma, t, const), 1.0
+        else:
+            stack, r_floor = reduced_dtu_matrix(a, b, gamma, t, const), 0.0
+    except NearSingularSecondMember:
+        if len(thetas) == 1:
+            raise
+        # an angle at the degenerate level: evaluate one angle at a time, so
+        # that an earlier angle's error still surfaces first
+        return [cv for th in thetas for cv in _eval_chunk(kind, a, b, gamma, [th], policy, const)]
 
-    else:
-        matrix = reduced_dtu_matrix(a, b, gamma, theta, const)
-        r_floor = 0.0
-
-        def verify(r):
-            return sigma_f(a, b, r, theta)
-
-    lam = np.linalg.eigvals(matrix)
-    scale = max(const.norm_bound(theta), np.finfo(float).tiny)
-    if np.min(np.abs(lam)) < 1e-14 * scale:
-        raise NearZeroPencilEigenvalue(
-            f"pencil eigenvalue at {lam[np.argmin(np.abs(lam))]!r} is "
-            f"numerically zero relative to the pencil norm bound {scale!r}"
-        )
-
+    lam = np.linalg.eigvals(stack)
+    scales = [max(const.norm_bound(th), _TINY) for th in thetas]
+    scale = np.array(scales)
     mu = lam / 1j  # rotate: the positive imaginary axis -> positive reals
-    relevant = mu[lam.real <= 0.0]
-    if relevant.size == 0:
-        value = PI_SQ  # no eigenvalue in the closed left half-plane
-    else:
-        value = float(np.min(np.angle(relevant - r_floor) ** 2))
-
+    shifted = mu - r_floor
+    # min Arg(mu - r_floor)^2 over eigenvalues in the closed left half-plane,
+    # pi^2 (an upper bound of every term) where there are none
+    values = np.min(np.where(lam.real <= 0.0, np.angle(shifted) ** 2, PI_SQ), axis=1)
+    near_zero = np.min(np.abs(lam), axis=1) < 1e-14 * scale
     # nominate eigenvalues close to i*[r_floor, inf) as level-set radii
-    tol = policy.imag_tol * scale
-    dist = np.where(mu.real >= r_floor, np.abs(mu.imag), np.abs(mu - r_floor))
-    flagged = np.sort(mu[(dist <= tol) & (mu.real > r_floor)].real)
+    dist = np.where(mu.real >= r_floor, np.abs(mu.imag), np.abs(shifted))
+    flagged = (dist <= policy.imag_tol * scale[:, None]) & (mu.real > r_floor)
 
-    candidates = []
-    for r in flagged:
-        r = float(r)
-        if candidates and abs(r - candidates[-1].r) <= 1e-10 * max(1.0, r):
-            # radii within 1e-10 relative merge, keeping the smaller recheck
-            prev = candidates[-1]
-            verified = verify(r)
-            if verified < prev.verified_value:
-                candidates[-1] = CandidatePoint(
-                    r, theta, verified, verified <= gamma * (1.0 + policy.verify_tol)
-                )
-            continue
-        verified = verify(r)
-        accepted = verified <= gamma * (1.0 + policy.verify_tol)
-        candidates.append(CandidatePoint(r, theta, verified, accepted))
-
-    if any(c.accepted for c in candidates):
-        value = 0.0
-    return CertificateValue(theta=float(theta), value=value, candidates=tuple(candidates))
+    out = [CertificateValue(th, v) for th, v in zip(thetas, values.tolist())]
+    for i in np.flatnonzero(near_zero | flagged.any(axis=1)):
+        theta = thetas[i]
+        if near_zero[i]:
+            row = lam[i]
+            raise NearZeroPencilEigenvalue(
+                f"pencil eigenvalue at {row[np.argmin(np.abs(row))]!r} is numerically "
+                f"zero relative to the pencil norm bound {scales[i]!r} at theta={theta!r}"
+            )
+        candidates: list[CandidatePoint] = []
+        for r in np.sort(mu[i, flagged[i]].real).tolist():
+            verified = _recheck(kind, a, b, r, theta)
+            accepted = verified <= gamma * (1.0 + policy.verify_tol)
+            if candidates and abs(r - candidates[-1].r) <= 1e-10 * max(1.0, r):
+                # radii within 1e-10 relative merge, keeping the smaller recheck
+                if verified < candidates[-1].verified_value:
+                    candidates[-1] = CandidatePoint(r, theta, verified, accepted)
+                continue
+            candidates.append(CandidatePoint(r, theta, verified, accepted))
+        value = 0.0 if any(c.accepted for c in candidates) else out[i].value
+        out[i] = CertificateValue(theta, value, tuple(candidates))
+    return out
 
 
 def eval_g(a, gamma: float, theta: float, policy: EvalPolicy = EvalPolicy()) -> CertificateValue:
@@ -206,22 +224,31 @@ def eval_f(a, b, gamma: float, theta: float, policy: EvalPolicy = EvalPolicy()) 
     return eval_certificate(PencilKind.DIST_UNCONTROLLABLE, a, b, gamma, theta, policy)
 
 
-def eval_certificate(
+def chunk_length(n: int) -> int:
+    """Angles per stacked eigensolve: a stack of reduced matrices of order 2n
+    fills about ``CHUNK_BYTES``, and holds at least one matrix."""
+    return max(1, CHUNK_BYTES // (16 * (2 * n) ** 2))
+
+
+def eval_certificates(
     kind: PencilKind,
     a,
     b,
     gamma,
-    theta,
+    thetas,
     policy=EvalPolicy(),
     const: Optional[PencilConstants] = None,
-):
-    """Dispatch on ``kind``; b is ignored unless evaluating the DTU certificate.
+) -> list[CertificateValue]:
+    """Certificate values at each angle of ``thetas``, in order.
 
-    ``const`` holds the theta-independent parts of the pencil at this kind
-    and level, from ``pencil_constants`` on validated complex A and B; a
-    solver builds it once per certificate round and passes A and B as it
-    validated them.  Without it, A and B are validated and the constants
-    built for this one call.
+    The angles are evaluated a chunk of ``chunk_length(n)`` at a time, each
+    chunk with one stacked eigensolve; every value and candidate is bit for
+    bit what the same angle gives alone.  ``b`` is ignored unless evaluating
+    the DTU certificate.  ``const`` holds the theta-independent parts of the
+    pencil at this kind and level, from ``pencil_constants`` on validated
+    complex A and B; a solver builds it once per certificate round and passes
+    A and B as it validated them.  Without it, A and B are validated and the
+    constants built for this one call.
     """
     if const is None:
         a = as_complex_matrix(a)
@@ -232,7 +259,25 @@ def eval_certificate(
             f"constants for {const.kind.value} at gamma={const.gamma!r} "
             f"cannot evaluate {kind.value} at gamma={gamma!r}"
         )
-    return _certificate(kind, a, b, gamma, theta, policy, const)
+    thetas = np.asarray(thetas, dtype=float).reshape(-1).tolist()
+    step = chunk_length(a.shape[0])
+    out: list[CertificateValue] = []
+    for i in range(0, len(thetas), step):
+        out += _eval_chunk(kind, a, b, gamma, thetas[i : i + step], policy, const)
+    return out
+
+
+def eval_certificate(
+    kind: PencilKind,
+    a,
+    b,
+    gamma,
+    theta,
+    policy=EvalPolicy(),
+    const: Optional[PencilConstants] = None,
+) -> CertificateValue:
+    """The certificate at one angle: ``eval_certificates`` on a batch of one."""
+    return eval_certificates(kind, a, b, gamma, [theta], policy, const)[0]
 
 
 def extract_restart_points(cv: CertificateValue) -> list[tuple[complex, float]]:

@@ -330,16 +330,7 @@ class PiecewiseCheb:
                 continue
             dc = _cheb_derivative(p.coeffs)
             for u in _unit_roots(p.coeffs, 1e-15 * scale):
-                for _ in range(3):  # re-polish against the full piece polynomial
-                    pu = float(_clenshaw(p.coeffs, u))
-                    du = float(_clenshaw(dc, u))
-                    if du == 0.0:
-                        break
-                    un = min(1.0, max(-1.0, u - pu / du))
-                    if abs(float(_clenshaw(p.coeffs, un))) <= abs(pu):
-                        u = un
-                    else:
-                        break
+                u = _newton_polish(p.coeffs, dc, u)  # against the full piece polynomial
                 if abs(float(_clenshaw(p.coeffs, u))) <= 1e-10 * scale:
                     found.append(0.5 * (p.a + p.b) + 0.5 * (p.b - p.a) * u)
         found.sort()

@@ -173,60 +173,119 @@ def _assemble(tl, tr, bl, br) -> np.ndarray:
     return out
 
 
+def _angles(theta) -> tuple[np.ndarray, bool]:
+    """``theta`` as a 1-D float array, and whether it was a single angle."""
+    t = np.asarray(theta, dtype=float)
+    return t.reshape(-1), t.ndim == 0
+
+
+def _times(coef: np.ndarray, m: np.ndarray, out: np.ndarray) -> None:
+    """``out[i] = coef[i] * m`` for k per-angle scalars and a (k, n, n) block.
+
+    One angle is written as a 2-D product.  numpy multiplies a 3-D array of
+    a single element with its plain complex kernel, not the fused
+    multiply-add one it uses everywhere else, so a 1 x 1 block of a
+    one-angle stack would round differently from the same product inside a
+    longer stack.
+    """
+    if out.shape[0] == 1:
+        np.multiply(coef[0], m, out=out[0])
+    else:
+        np.multiply(coef[:, None, None], m, out=out)
+
+
+def _blocks(k: int, n: int) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    """An uninitialised (k, 2n, 2n) stack and views of its four n x n blocks."""
+    out = np.empty((k, 2 * n, 2 * n), dtype=np.complex128)
+    return out, (out[:, :n, :n], out[:, :n, n:], out[:, n:, :n], out[:, n:, n:])
+
+
 def reduced_kc_matrix(
-    a: np.ndarray, gamma: float, theta: float, const: Optional[PencilConstants] = None
+    a: np.ndarray, gamma: float, theta, const: Optional[PencilConstants] = None
 ) -> np.ndarray:
     """Closed-form reduced matrix of the continuous-time pencil.
 
-    ``const``, from ``pencil_constants`` at the same A and gamma, supplies
-    A^H; every reduced builder gives the same matrix with or without it.
+    ``theta`` is one angle, giving the 2n x 2n matrix, or a 1-D array of k
+    angles, giving the (k, 2n, 2n) stack; every builder writes its blocks
+    straight into the stack, and slice i of a stack is bit for bit the matrix
+    at ``theta[i]`` alone.  ``const``, from ``pencil_constants`` at the same
+    A and gamma, supplies A^H; every reduced builder gives the same matrix
+    with or without it.  A singular second member raises for the first
+    offending angle.
     """
-    gc = gamma * np.cos(theta)
-    if abs(1.0 - abs(gc)) <= SINGULARITY_GUARD:
+    t, single = _angles(theta)
+    gc = gamma * np.cos(t)
+    near = np.abs(1.0 - np.abs(gc)) <= SINGULARITY_GUARD
+    if near.any():
+        i = int(np.argmax(near))
         raise NearSingularSecondMember(
-            f"|gamma*cos(theta)| = {abs(gc)!r} within 1e-12 of 1"
+            f"|gamma*cos(theta)| = {abs(gc[i])!r} within 1e-12 of 1 at theta={float(t[i])!r}"
         )
-    e_p = np.exp(1j * theta)
-    e_m = np.exp(-1j * theta)
     ah = a.conj().T if const is None else const.ah
     s = 1j / (1.0 - gc * gc)
-    return _assemble(s * e_m * a, s * gc * ah, s * gc * a, s * e_p * ah)
+    out, (tl, tr, bl, br) = _blocks(t.size, a.shape[0])
+    _times(s * np.exp(-1j * t), a, tl)
+    _times(s * gc, ah, tr)
+    _times(s * gc, a, bl)
+    _times(s * np.exp(1j * t), ah, br)
+    return out[0] if single else out
 
 
 def reduced_kd_matrix(
-    a: np.ndarray, gamma: float, theta: float, const: Optional[PencilConstants] = None
+    a: np.ndarray, gamma: float, theta, const: Optional[PencilConstants] = None
 ) -> np.ndarray:
-    """Closed-form reduced matrix of the discrete-time pencil."""
+    """Closed-form reduced matrix of the discrete-time pencil (one angle or a stack)."""
     _check_kd_gamma(gamma)
-    e_p = np.exp(1j * theta)
-    e_m = np.exp(-1j * theta)
+    t, single = _angles(theta)
+    e_p = np.exp(1j * t)
+    e_m = np.exp(-1j * t)
     g = gamma
     ah, eye = (a.conj().T, _eye_like(a)) if const is None else (const.ah, const.eye)
     s = 1j / (1.0 - g * g)
-    return _assemble(
-        s * (e_m * a - g * g * eye),
-        s * g * (ah - e_m * eye),
-        s * g * (a - e_p * eye),
-        s * (e_p * ah - g * g * eye),
-    )
+    sg = s * g
+    g2_eye = g * g * eye
+    out, (tl, tr, bl, br) = _blocks(t.size, a.shape[0])
+    # s (e^{-i theta} A - g^2 I)
+    _times(e_m, a, tl)
+    np.subtract(tl, g2_eye, out=tl)
+    np.multiply(s, tl, out=tl)
+    # s g (A^H - e^{-i theta} I)
+    _times(e_m, eye, tr)
+    np.subtract(ah, tr, out=tr)
+    np.multiply(sg, tr, out=tr)
+    # s g (A - e^{i theta} I)
+    _times(e_p, eye, bl)
+    np.subtract(a, bl, out=bl)
+    np.multiply(sg, bl, out=bl)
+    # s (e^{i theta} A^H - g^2 I)
+    _times(e_p, ah, br)
+    np.subtract(br, g2_eye, out=br)
+    np.multiply(s, br, out=br)
+    return out[0] if single else out
 
 
 def reduced_dtu_matrix(
     a: np.ndarray,
     b: np.ndarray,
     gamma: float,
-    theta: float,
+    theta,
     const: Optional[PencilConstants] = None,
 ) -> np.ndarray:
-    """Closed-form reduced matrix of the uncontrollability pencil."""
-    e_p = np.exp(1j * theta)
-    e_m = np.exp(-1j * theta)
+    """Closed-form reduced matrix of the uncontrollability pencil (one angle or a stack)."""
+    t, single = _angles(theta)
+    e_p = np.exp(1j * t)
+    i_e_m = 1j * np.exp(-1j * t)
     if const is None:
         eye = _eye_like(a)
         ah, b_tilde = a.conj().T, _b_tilde(b, gamma, eye)
     else:
         eye, ah, b_tilde = const.eye, const.ah, const.b_tilde
-    return _assemble(1j * e_m * a, 1j * e_m * b_tilde, -1j * gamma * e_p * eye, 1j * e_p * ah)
+    out, (tl, tr, bl, br) = _blocks(t.size, a.shape[0])
+    _times(i_e_m, a, tl)
+    _times(i_e_m, b_tilde, tr)
+    _times(-1j * gamma * e_p, eye, bl)
+    _times(1j * e_p, ah, br)
+    return out[0] if single else out
 
 
 def build_kc_pencil(a, gamma: float, theta: float) -> tuple[PencilPair, ReducedPencil]:

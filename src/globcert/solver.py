@@ -10,8 +10,9 @@ improves gamma by less than ``term_rel`` relative (including not at all)
 marks the zeros as numerically stationary and ends the round as converged,
 without sweeping the rest of the domain; ROADMAP item 1 tracks making such
 zeros be consumed instead.  Zeros whose restarts improve gamma by an amount
-between the two thresholds, or whose nominations all fail their recheck,
-are consumed and sampling continues.  Once an interpolant completes without
+between the two thresholds are consumed and sampling continues; a sampled
+zero always has an accepted nomination, since a nomination that fails its
+recheck does not zero the certificate.  Once an interpolant completes without
 unconsumed zeros, the true certificate is re-evaluated at the interpolant's
 global minimizers and then at midpoints of consecutive interpolant roots;
 only when those checks also come back empty does the driver declare
@@ -28,6 +29,7 @@ terminate on it), and unstable matrices have an infinite bound.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -39,8 +41,8 @@ import numpy as np
 from .certificates import (
     CertificateValue,
     EvalPolicy,
-    NoAcceptedCandidates,
-    eval_certificate,
+    chunk_length,
+    eval_certificates,
     extract_restart_points,
 )
 from .chebinterp import BudgetExceeded, Completed, InterpOptions, approximate
@@ -131,7 +133,7 @@ class RestartRecord:
     points_used: tuple[complex, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TraceRecord:
     round: int
     gamma: float
@@ -260,12 +262,18 @@ class _Driver:
                 thetas = [float(t) for t in np.atleast_1d(thetas)]
                 missing = list(dict.fromkeys(t for t in thetas if t not in cache))
 
-                def one(t):
-                    return eval_certificate(
-                        self.kind, self.a, self.b, gamma_cert, t, self.cfg.policy, self.const
+                def chunk(ts):
+                    return eval_certificates(
+                        self.kind, self.a, self.b, gamma_cert, ts, self.cfg.policy, self.const
                     )
 
-                for t, cv in zip(missing, _pmap(one, missing, self.cfg.workers)):
+                # a chunk is one stacked eigensolve; short batches are spread
+                # over the workers, and no value depends on where chunks split
+                workers = self.cfg.workers
+                step = max(1, min(chunk_length(self.a.shape[0]), -(-len(missing) // workers)))
+                chunks = [missing[i : i + step] for i in range(0, len(missing), step)]
+                cvs = itertools.chain.from_iterable(_pmap(chunk, chunks, workers))
+                for t, cv in zip(missing, cvs):
                     cache[t] = cv
                     n_new[0] += 1
                     self.trace.append(
@@ -359,15 +367,9 @@ class _Driver:
 
     def _assess_zeros(self, zeros: list[CertificateValue], trigger: str, consumed) -> str:
         """Restart optimization from all accepted candidates of the batch."""
-        points: list[complex] = []
-        for cv in zeros:
-            try:
-                points.extend(z for z, _ in extract_restart_points(cv))
-            except NoAcceptedCandidates:
-                continue  # all nominations failed recheck: treat angle as nonzero
+        # every zero has an accepted candidate (``CertificateValue.is_zero``)
+        points = [z for cv in zeros for z, _ in extract_restart_points(cv)]
         consumed.update(cv.theta for cv in zeros)
-        if not points:
-            return "consumed"
         gamma_before = self.gamma
         improvement = self._adopt(self._optimize_from(points))
         if improvement >= self.cfg.restart_rel:
