@@ -2,10 +2,13 @@
 
 The engine samples a real function at Chebyshev points of the second kind,
 doubling the grid (17 -> 33 -> 65 -> ...) until the trailing coefficients pass
-below a relative tolerance.  When the ladder stalls on a nonsmooth feature,
-the feature is located by a shrinking-window scan of fourth differences and
-the interval is split there, recursing on both halves; features hugging a
-boundary yield geometrically graded pieces.  Sampling happens in batches:
+below a relative tolerance.  A caller that needs only the zero set of a
+nonnegative function relaxes that tolerance, piece by piece, to a fraction
+of the piece's smallest sample (``approximate(..., zero_set_only=True)``).
+When the ladder stalls on a nonsmooth feature, the feature is located by a
+shrinking-window scan of fourth differences and the interval is split there,
+recursing on both halves; features hugging a boundary yield geometrically
+graded pieces.  Sampling happens in batches:
 every batch may be evaluated concurrently by the caller, and a
 caller-supplied predicate can abort the whole construction as soon as any
 batch contains a triggering sample.  The construction is deterministic: it
@@ -44,6 +47,10 @@ __all__ = [
 # off-grid abscissae (in [-1,1] piece coordinates) for the per-piece accuracy
 # check; fixed so the batch schedule is reproducible
 _SAMPLE_TEST_NODES = (-0.357998918959666, 0.036412078216417)
+
+# with ``approximate(..., zero_set_only=True)``, a piece is accepted once its
+# error is below this fraction of its smallest sample
+ZERO_SET_REL = 1e-2
 
 
 class OutOfDomain(ValueError):
@@ -288,7 +295,6 @@ class PiecewiseCheb:
 
     pieces: tuple[ChebPiece, ...]
     domain: tuple[float, float]
-    tol: float
 
     def _piece_index(self, x: float) -> int:
         lo, hi = self.domain
@@ -524,10 +530,41 @@ def _locate_edge(sampler: _Sampler, a: float, b: float) -> float:
     return float(x)
 
 
-def _run_ladder(sampler: _Sampler, a: float, b: float, opts: InterpOptions) -> np.ndarray:
+def _zero_set_floor(vals: np.ndarray, prev: Optional[np.ndarray]) -> float:
+    """``ZERO_SET_REL`` times the smallest sample, once the rung is trusted.
+
+    A rung is trusted when the previous rung's series predicts the samples
+    this rung adds to within 10 times that floor; otherwise, and on the first
+    rung, the floor is 0.  The tail alone is fooled by kinks and cusps such
+    as the edges of a narrow zero set: their coefficients decay slowly, so
+    the tail falls below 1e-2 of the smallest sample while the series still
+    misses the set by far more.  The prediction measures that error directly
+    and costs no sample.
+    """
+    if prev is None:
+        return 0.0
+    floor = ZERO_SET_REL * float(np.min(vals))
+    padded = np.concatenate([prev, np.zeros(len(vals) - len(prev))])
+    predicted = coeffs2vals(padded)[1::2]  # odd points are the new ones
+    return floor if np.max(np.abs(predicted - vals[1::2])) <= 10.0 * floor else 0.0
+
+
+def _run_ladder(
+    sampler: _Sampler, a: float, b: float, opts: InterpOptions, zero_set_only: bool
+) -> np.ndarray:
     """Grow the grid on [a, b] until converged; raise _NeedSplit on a stall.
 
-    A piece is accepted early when its tail falls below the documented
+    One acceptance rule: the tail is at most ``target = max(tol * scale,
+    floor)``, and the function agrees with the series at two off-grid points
+    to ``max(100 * tol * scale, 10 * floor)``; coefficients below half the
+    target are trimmed.  The floor is 0 unless ``zero_set_only``, when
+    ``_zero_set_floor`` sets it from the smallest sample: for a nonnegative
+    function whose zero set is all the caller needs, an error small relative
+    to the piece's own minimum cannot move that set, so only pieces that
+    sample values near 0 are resolved to ``tol``.  With a floor of 0 the
+    rule is the uniform ``tol`` contract.
+
+    A stalled piece is also accepted when its tail is within the documented
     validation-error contract (50 * tol * scale): splitting a piece that is
     already within contract burns budget chasing sub-contract wiggles, e.g.
     square-root kinks of rounding-level amplitude.
@@ -538,28 +575,30 @@ def _run_ladder(sampler: _Sampler, a: float, b: float, opts: InterpOptions) -> n
     coeffs = None
     while True:
         vals = sampler.eval(chebpts(m, a, b))
-        coeffs = vals2coeffs(vals)
+        prev, coeffs = coeffs, vals2coeffs(vals)
         fscale = max(sampler.scale, np.finfo(float).tiny)
+        floor = _zero_set_floor(vals, prev) if zero_set_only else 0.0
+        target = max(opts.tol * fscale, floor)
         tail = float(np.max(np.abs(coeffs[-2:])))
-        if tail <= opts.tol * fscale:
+        if tail <= target:
             # off-grid accuracy check guards against aliasing on the grid
             xs = np.array([0.5 * (a + b) + 0.5 * (b - a) * t for t in _SAMPLE_TEST_NODES])
             err = np.max(np.abs(sampler.eval(xs) - _clenshaw(coeffs, np.asarray(_SAMPLE_TEST_NODES))))
-            if err <= 100.0 * opts.tol * fscale:
-                return _trim_coeffs(coeffs, opts.tol * fscale * 0.5)
+            if err <= max(100.0 * opts.tol * fscale, 10.0 * floor):
+                return _trim_coeffs(coeffs, 0.5 * target)
         stalls = stalls + 1 if tail > 0.125 * prev_tail else 0
         prev_tail = tail
         within_contract = tail <= 50.0 * opts.tol * fscale
         if stalls >= 2 and m + 1 >= 65:
             if within_contract:
-                return _trim_coeffs(coeffs, opts.tol * fscale * 0.5)
+                return _trim_coeffs(coeffs, 0.5 * target)
             # split only when the plateau sits far above the target: a tail
             # within a few decades of tol is cheaper to finish by doubling
             if tail > 1e3 * opts.tol * fscale:
                 raise _NeedSplit(coeffs, tail)
         if 2 * m + 1 > opts.max_degree:
             if within_contract:
-                return _trim_coeffs(coeffs, opts.tol * fscale * 0.5)
+                return _trim_coeffs(coeffs, 0.5 * target)
             raise _NeedSplit(coeffs, tail)  # caller splits, or converts to BudgetExceeded
         m *= 2
 
@@ -571,6 +610,8 @@ def approximate(
     opts: InterpOptions = InterpOptions(),
     abort_on: Optional[Callable[[Any], bool]] = None,
     value_key: Optional[Callable[[Any], float]] = None,
+    *,
+    zero_set_only: bool = False,
 ) -> SamplingOutcome:
     """Adaptively approximate ``fn`` on [lo, hi], or abort on a trigger.
 
@@ -584,6 +625,12 @@ def approximate(
         Predicate over a single result.  As soon as any batch contains a
         triggering sample, sampling halts and all triggers from that batch
         are returned in an ``Aborted`` outcome.
+    zero_set_only : bool, keyword-only
+        The caller needs only the zero set of a nonnegative ``fn``.  A piece
+        is then accepted once its error is below ``ZERO_SET_REL`` of its
+        smallest sample, instead of ``opts.tol`` of the sampled scale, and
+        the interpolant is accurate to that only.  Pieces whose samples near
+        0 are still resolved to ``opts.tol``.
 
     Returns
     -------
@@ -612,7 +659,7 @@ def approximate(
             c = vals2coeffs(sampler.eval(chebpts(opts.min_samples - 1, a, b)))
             pieces.append(ChebPiece(a, b, c))
         pieces.sort(key=lambda p: p.a)
-        interp = PiecewiseCheb(tuple(pieces), (float(lo), float(hi)), opts.tol)
+        interp = PiecewiseCheb(tuple(pieces), (float(lo), float(hi)))
         fscale = max(sampler.scale, np.finfo(float).tiny)
         est = max(float(np.max(np.abs(p.coeffs[-2:]))) for p in pieces) / fscale
         return BudgetExceeded(msg, interp, est)
@@ -621,7 +668,7 @@ def approximate(
         while pending:
             a, b, parent_plateau, hint = pending.pop(0)
             try:
-                coeffs = _run_ladder(sampler, a, b, opts)
+                coeffs = _run_ladder(sampler, a, b, opts, zero_set_only)
             except _NeedSplit as ns:
                 # a plateau that splitting barely lowers AND that is already
                 # tiny relative to the sampled scale is noise-limited, e.g. a
@@ -656,5 +703,5 @@ def approximate(
         return Aborted(trigger_samples=ab.triggers, sample_count=sampler.count)
 
     done.sort(key=lambda p: p.a)
-    interp = PiecewiseCheb(tuple(done), (float(lo), float(hi)), opts.tol)
+    interp = PiecewiseCheb(tuple(done), (float(lo), float(hi)))
     return Completed(interpolant=interp, sample_count=sampler.count)

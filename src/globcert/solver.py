@@ -18,6 +18,13 @@ global minimizers and then at midpoints of consecutive interpolant roots;
 only when those checks also come back empty does the driver declare
 convergence.
 
+The certificate is nonnegative and only its zero set matters, so the
+interpolant is built with ``approximate(..., zero_set_only=True)``: it is
+resolved to ``tol`` only where its samples near 0, around the minimizer's
+angle, and elsewhere to 1e-2 of each piece's smallest sample.  Where the
+certificate dips between samples the interpolant may dip below 0; the
+minimizer and midpoint checks evaluate the true certificate there.
+
 A round whose interpolation exhausts its degree and piece budgets ends the
 solve as ``Uncertified``, with the best gamma and minimizer found so far.
 
@@ -325,6 +332,7 @@ class _Driver:
                 opts=self.cfg.interp,
                 abort_on=abort_on,
                 value_key=lambda cv: cv.value,
+                zero_set_only=True,
             )
             if isinstance(outcome, Completed):
                 break

@@ -248,3 +248,26 @@ def test_pieces_tile_domain():
     for left, right in zip(p.pieces[:-1], p.pieces[1:]):
         assert left.b == right.a
     assert max_err(p, lambda x: abs(np.sin(3 * x)), -4, 4) <= 1e-11
+
+
+def test_zero_set_only_resolves_relative_to_the_minimum():
+    # a positive function needs accuracy only relative to its own minimum
+    # when the caller asks for its zero set alone
+    runge = lambda x: 1.0 / (1.0 + 25.0 * x * x)
+    full = approximate(batch(runge), -1, 1)
+    rel = approximate(batch(runge), -1, 1, zero_set_only=True)
+    assert isinstance(rel, Completed)
+    assert rel.sample_count < full.sample_count
+    assert max_err(rel.interpolant, runge, -1, 1) <= 0.1 * runge(1.0)
+
+
+def test_zero_set_only_still_finds_a_narrow_zero_set():
+    # zero on an interval of width 1e-2, with linear, square-root and
+    # quadratic edges: their coefficients decay slowly enough that a tail
+    # test alone accepts a series that never samples the interval
+    gen = rng(45)
+    for c in gen.uniform(-0.99, 0.99, 30):
+        for p in (0.5, 1.0, 2.0):
+            f = lambda x: max(0.0, abs(x - c) - 0.005) ** p
+            out = approximate(batch(f), -1, 1, abort_on=lambda v: v == 0.0, zero_set_only=True)
+            assert isinstance(out, Aborted), (c, p)

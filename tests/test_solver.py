@@ -9,7 +9,7 @@ import globcert.solver as solver
 from conftest import assert_close, random_complex, rng, stable_continuous
 from globcert.chebinterp import InterpOptions
 from globcert.demos import grcar
-from globcert.linalg import norm2, spectral_radius
+from globcert.linalg import norm2, spectral_abscissa, spectral_radius
 from globcert.localopt import InfeasibleStart, Objective, objective_value_grad
 from globcert.oracle import GridSpec, grid_min
 from globcert.pencils import PencilKind
@@ -201,6 +201,36 @@ def test_discrete_grcar20_converges():
     res = kreiss_discrete(a, [1.5])
     assert res.status is SolveStatus.CONVERGED
     assert_close(res.quantity, 26.186897001806397, rel=1e-12)
+
+
+def _narrow_basin(omega):
+    # K = 1.25 from the left block; the right block's basin near angle pi/2
+    # gives K = 1.45 but its zero set is narrow
+    a = np.zeros((4, 4), dtype=complex)
+    a[:2, :2] = [[-1.0, 4.0], [0.0, -1.0]]
+    a[2:, 2:] = (-0.01 + 1j * omega) * np.eye(2) + np.array([[0.0, 0.05], [0.0, 0.0]])
+    return a
+
+
+def test_certificate_finds_narrow_deep_basin():
+    res = kreiss_continuous(_narrow_basin(10.0), [1 + 1j])
+    assert res.status is SolveStatus.CONVERGED
+    assert_close(res.quantity, 1.4500000000000004, rel=1e-12)
+    assert [r.trigger for r in res.restarts] == ["Probe"]
+    res = kreiss_continuous(_narrow_basin(40.0), [1, 0.01 + 40j])
+    assert res.status is SolveStatus.CONVERGED
+    assert_close(res.quantity, 1.45, rel=1e-12)
+
+
+def test_continuous_grcar20_certificate_sample_count():
+    # the certificate is resolved to tol only where it nears 0; resolving
+    # it to tol everywhere took 11,116 samples
+    a = grcar(20)
+    a = a - (spectral_abscissa(a) + 0.1) * np.eye(20)
+    res = kreiss_continuous(a, [1 + 1j])
+    assert res.status is SolveStatus.CONVERGED
+    assert_close(res.quantity, 6.890661736429734, rel=1e-12)
+    assert sum(res.certificate_samples) <= 1000
 
 
 def _continuous_state():
