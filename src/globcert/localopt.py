@@ -9,8 +9,20 @@ by smooth reparametrization (x = e^w for Re z > 0, r = 1 + e^w for |z| > 1),
 so iterates can never leave the feasible region and no projection
 nonsmoothness is introduced.
 
-The search itself is a two-variable BFGS with backtracking line search; a
-handful of iterations suffices at this dimension, so Hessians are not used.
+The search itself is a two-variable BFGS with backtracking line search;
+Hessians are not used.  Its cost varies widely: without the floor stop below,
+Kahan(60)'s restarts took 10 to 127 evaluations each, and its descent from
+the origin ran to the ``max_iter = 200`` cap.  A descent stops when the
+gradient vanishes relative to the value, when the step stalls, or when the
+value reaches the objective's noise floor ``Objective.floor``.  For the
+uncontrollability objective that floor is 1e-12·max(‖[A B]‖₂, 1): below it
+sigma_min is rounding noise and the pair is numerically uncontrollable.  The
+Kreiss objectives are always positive, and their floor is 0.
+
+``descend`` is the search as a generator that yields once after each
+iteration and returns the ``LocalMin``, so a caller can advance several
+descents in lockstep and stop them all once one reaches the floor;
+``minimize`` runs one to its end.
 """
 
 from __future__ import annotations
@@ -22,7 +34,7 @@ from typing import Optional
 
 import numpy as np
 
-from .linalg import as_complex_matrix, svd_triplet
+from .linalg import as_complex_matrix, norm2, svd_triplet
 from .pencils import PencilKind
 
 __all__ = [
@@ -31,6 +43,7 @@ __all__ = [
     "LocalMin",
     "Objective",
     "OptConfig",
+    "descend",
     "minimize",
     "objective_value_grad",
 ]
@@ -48,26 +61,35 @@ class InfeasibleStart(ValueError):
 
 @dataclass(frozen=True)
 class Objective:
-    """One of the three singular-value objectives over the complex plane."""
+    """One of the three singular-value objectives over the complex plane.
+
+    ``floor`` is the value at or below which a minimum is numerically zero:
+    1e-12·max(‖[A B]‖₂, 1) for the uncontrollability objective, 0 for the
+    Kreiss objectives, whose values are always positive.
+    """
 
     kind: PencilKind
     a: np.ndarray
     b: Optional[np.ndarray] = None
     eye: np.ndarray = field(init=False, repr=False, compare=False)
+    floor: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "a", as_complex_matrix(self.a))
         if self.a.shape[0] != self.a.shape[1]:
             raise ValueError(f"A must be square, got {self.a.shape}")
         object.__setattr__(self, "eye", np.eye(self.a.shape[0], dtype=np.complex128))
+        floor = 0.0
         if self.kind is PencilKind.DIST_UNCONTROLLABLE:
             if self.b is None:
                 raise ValueError("the uncontrollability objective requires B")
             object.__setattr__(self, "b", as_complex_matrix(self.b))
             if self.b.shape[0] != self.a.shape[0]:
                 raise ValueError(f"B must have {self.a.shape[0]} rows, got {self.b.shape}")
+            floor = 1e-12 * max(norm2(np.hstack([self.a, self.b])), 1.0)
         elif self.b is not None:
             raise ValueError("B is only meaningful for the uncontrollability objective")
+        object.__setattr__(self, "floor", floor)
 
 
 @dataclass(frozen=True)
@@ -126,6 +148,8 @@ def objective_value_grad(obj: Objective, z: complex):
 
     if obj.kind is PencilKind.KREISS_CONTINUOUS:
         x = z.real
+        if x * x == 0.0:  # the gradient's x² underflows: too close to Re z = 0
+            raise InfeasiblePoint(f"z={z!r} is too close to the imaginary axis")
         trip, degen = _triplet_info(z * eye - obj.a)
         uv = complex(np.vdot(trip.u, trip.v))  # u* v
         s_x, s_y = uv.real, -uv.imag
@@ -174,13 +198,15 @@ def _working_grad(kind: PencilKind, p: np.ndarray, native_grad: np.ndarray) -> n
     return native_grad.copy()
 
 
-def minimize(obj: Objective, z0: complex, cfg: OptConfig = OptConfig()) -> LocalMin:
-    """BFGS descent from ``z0``; iterates stay strictly feasible.
+def descend(obj: Objective, z0: complex, cfg: OptConfig = OptConfig()):
+    """BFGS descent from ``z0`` as a generator; iterates stay strictly feasible.
 
-    Stops when the working-parameter gradient norm falls below
-    ``grad_tol * max(1, value)`` or the step falls below ``step_tol``
-    relative; hitting the iteration cap returns the best iterate with
-    ``converged=False``.
+    Yields once after each iteration that does not end the search, and
+    returns the ``LocalMin``.  Stops with ``converged=True`` when the
+    working-parameter gradient norm falls below ``grad_tol * max(1, value)``,
+    when the value reaches ``obj.floor``, or when the step falls below
+    ``step_tol`` relative; hitting the iteration cap returns the best iterate
+    with ``converged=False``.
     """
     z0 = complex(z0)
     if not _feasible(obj.kind, z0):
@@ -195,7 +221,7 @@ def minimize(obj: Objective, z0: complex, cfg: OptConfig = OptConfig()) -> Local
 
     while iters < cfg.max_iter:
         gnorm = float(np.linalg.norm(g))
-        if gnorm <= cfg.grad_tol * max(1.0, abs(f)):
+        if gnorm <= cfg.grad_tol * max(1.0, abs(f)) or f <= obj.floor:
             converged = True
             break
         d = -hinv @ g
@@ -234,6 +260,7 @@ def minimize(obj: Objective, z0: complex, cfg: OptConfig = OptConfig()) -> Local
         if float(np.linalg.norm(s)) <= cfg.step_tol * max(1.0, float(np.linalg.norm(p))):
             converged = True
             break
+        yield
 
     z = _unpack(obj.kind, p)
     return LocalMin(
@@ -244,3 +271,13 @@ def minimize(obj: Objective, z0: complex, cfg: OptConfig = OptConfig()) -> Local
         converged=converged,
         degenerate=degen,
     )
+
+
+def minimize(obj: Objective, z0: complex, cfg: OptConfig = OptConfig()) -> LocalMin:
+    """BFGS descent from ``z0`` run to its end; see ``descend``."""
+    run = descend(obj, z0, cfg)
+    while True:
+        try:
+            next(run)
+        except StopIteration as stop:
+            return stop.value

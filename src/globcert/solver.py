@@ -28,6 +28,15 @@ minimizer and midpoint checks evaluate the true certificate there.
 A round whose interpolation exhausts its degree and piece budgets ends the
 solve as ``Uncertified``, with the best gamma and minimizer found so far.
 
+Local optimization from several points (the starts, or every point that a
+batch of certificate zeros nominates) is a race.  Each round advances every
+running descent by one BFGS iteration, spread over the workers.  The first
+descent in point order that ends at or below the objective's noise floor
+wins at once: for ``dtu`` a value there ends the solve whatever its digits.
+Otherwise every descent runs to its end and the lowest value wins.  The
+descents do not interact, so the winner does not depend on the worker count,
+and a race without a floor hit returns what the sequential runs would.
+
 Fast paths: normal stable matrices have transient bound exactly 1 (the
 infimum is approached only as r grows without bound, so the loop could not
 terminate on it), and unstable matrices have an infinite bound.
@@ -68,7 +77,7 @@ from .localopt import (
     LocalMin,
     Objective,
     OptConfig,
-    minimize,
+    descend,
 )
 from .pencils import (
     NearSingularSecondMember,
@@ -205,15 +214,46 @@ class _Driver:
     # -- optimization ------------------------------------------------------
 
     def _optimize_from(self, points) -> Optional[LocalMin]:
+        """Race one descent per point; the best run, or None if all dropped.
+
+        Every round advances each running descent by one BFGS iteration.  The
+        first run in point order that ends at or below the objective's noise
+        floor wins at once; otherwise all runs finish and the lowest wins.
+        Runs do not interact, so the winner does not depend on ``workers``.
+        """
+        obj, opt, floor = self.obj, self.cfg.opt, self.obj.floor
+
         def run(z0):
             # a start that is infeasible once rounded, or whose SVD fails,
             # is dropped; any other error is a defect and propagates
             try:
-                return minimize(self.obj, z0, self.cfg.opt)
+                return (yield from descend(obj, z0, opt))
             except (InfeasibleStart, InfeasiblePoint, DecompositionError):
                 return None
 
-        results = [r for r in _pmap(run, points, self.cfg.workers) if r is not None]
+        def step(i):
+            # one iteration of run i: (ended, its LocalMin or None)
+            try:
+                next(runs[i])
+                return False, None
+            except StopIteration as stop:
+                return True, stop.value
+
+        runs = [run(z0) for z0 in points]
+        ended: list[Optional[LocalMin]] = [None] * len(runs)
+        active = list(range(len(runs)))
+        while active:
+            running = []
+            for i, (done, res) in zip(active, _pmap(step, active, self.cfg.workers)):
+                if done:
+                    ended[i] = res
+                else:
+                    running.append(i)
+            active = running
+            hit = next((r for r in ended if r is not None and r.value <= floor), None)
+            if hit is not None:
+                return hit
+        results = [r for r in ended if r is not None]
         if not results:
             return None
         return min(results, key=lambda r: r.value)
@@ -419,8 +459,7 @@ class _Driver:
 
     def _dtu_zero(self) -> bool:
         # a value at the sigma_min noise floor certifies itself: tau ~ 0
-        scale = max(norm2(np.hstack([self.a, self.b])), 1.0)
-        return self.gamma <= 1e-12 * scale
+        return self.gamma <= self.obj.floor
 
 
 def _finish(driver: _Driver, quantity_of, t0: float) -> SolveResult:
@@ -508,7 +547,9 @@ def dtu(a, b, starts, cfg: SolverConfig = SolverConfig()) -> SolveResult:
     """Distance to uncontrollability of the pair (A, B).
 
     The origin is always included as a starting point.  Returns quantity
-    tau = gamma_final.
+    tau = gamma_final.  A tau at or below 1e-12·max(‖[A B]‖₂, 1) means the
+    pair is numerically uncontrollable; the solve stops as soon as a descent
+    reaches that floor, and the digits of such a tau carry no meaning.
     """
     t0 = time.perf_counter()
     a = as_complex_matrix(a)

@@ -10,6 +10,7 @@ from globcert.localopt import (
     InfeasibleStart,
     Objective,
     _triplet_info,
+    descend,
     minimize,
     objective_value_grad,
 )
@@ -171,3 +172,44 @@ def test_local_optimality_compass():
                 continue
             v, _, _ = objective_value_grad(obj, w)
             assert v >= res.value - 1e-10
+
+
+def test_descend_is_minimize_one_iteration_at_a_time():
+    a = stable_continuous(rng(75), 4)
+    obj = Objective(PencilKind.KREISS_CONTINUOUS, a)
+    run = descend(obj, 1 + 1j)
+    yields = 0
+    while True:
+        try:
+            next(run)
+        except StopIteration as stop:
+            res = stop.value
+            break
+        yields += 1
+    assert res == minimize(obj, 1 + 1j)
+    assert res.converged and 1 <= res.iterations and yields <= res.iterations
+
+
+def test_objective_floors():
+    assert Objective(PencilKind.KREISS_CONTINUOUS, -np.eye(2)).floor == 0.0
+    assert Objective(PencilKind.KREISS_DISCRETE, 0.5 * np.eye(2)).floor == 0.0
+    a, b = 3.0 * np.eye(2), np.array([[4.0], [0.0]])  # ‖[A B]‖₂ = 5
+    assert_close(Objective(PencilKind.DIST_UNCONTROLLABLE, a, b).floor, 5e-12, rel=1e-14)
+    assert Objective(PencilKind.DIST_UNCONTROLLABLE, [[0.1]], [[0.0]]).floor == 1e-12
+
+
+def test_minimize_stops_at_the_noise_floor_of_an_uncontrollable_pair():
+    # eigenvalue 2 of diag(1, 2) is unreachable from B = e_1: tau = 0 at z = 2
+    obj = Objective(PencilKind.DIST_UNCONTROLLABLE, np.diag([1.0, 2.0]), [[1.0], [0.0]])
+    res = minimize(obj, 1.7 + 0.4j)
+    assert res.converged
+    assert res.value <= obj.floor
+    # a start on the floor takes no iteration
+    at_zero = minimize(obj, 2.0 + 0j)
+    assert at_zero.converged and at_zero.iterations == 0 and at_zero.value <= obj.floor
+
+
+def test_continuous_point_whose_square_underflows_is_infeasible():
+    obj = Objective(PencilKind.KREISS_CONTINUOUS, -np.eye(2))
+    with pytest.raises(InfeasiblePoint):
+        objective_value_grad(obj, 1e-170 + 1j)

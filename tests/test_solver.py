@@ -5,12 +5,14 @@ import dataclasses
 import numpy as np
 import pytest
 
+import globcert.localopt as localopt
 import globcert.solver as solver
 from conftest import assert_close, random_complex, rng, stable_continuous
 from globcert.chebinterp import InterpOptions
-from globcert.demos import grcar
+from globcert.cli import result_to_dict
+from globcert.demos import grcar, kahan
 from globcert.linalg import norm2, spectral_abscissa, spectral_radius
-from globcert.localopt import InfeasibleStart, Objective, objective_value_grad
+from globcert.localopt import InfeasibleStart, Objective, minimize, objective_value_grad
 from globcert.oracle import GridSpec, grid_min
 from globcert.pencils import PencilKind
 from globcert.solver import (
@@ -242,13 +244,13 @@ def test_optimize_from_propagates_unexpected_errors(monkeypatch):
     def broken(obj, z0, cfg):
         raise ZeroDivisionError("a defect, not an infeasible start")
 
-    monkeypatch.setattr(solver, "minimize", broken)
+    monkeypatch.setattr(solver, "descend", broken)
     with pytest.raises(ZeroDivisionError):
         _continuous_state()._optimize_from([1 + 1j])
 
 
 def test_optimize_from_drops_infeasible_starts(monkeypatch):
-    real = solver.minimize
+    real = solver.descend
     calls = []
 
     def picky(obj, z0, cfg):
@@ -257,12 +259,82 @@ def test_optimize_from_drops_infeasible_starts(monkeypatch):
             raise InfeasibleStart("rejected")
         return real(obj, z0, cfg)
 
-    monkeypatch.setattr(solver, "minimize", picky)
+    monkeypatch.setattr(solver, "descend", picky)
     drv = _continuous_state()
     res = drv._optimize_from([2 + 2j, 1 + 1j])
     assert calls == [2 + 2j, 1 + 1j]
-    assert res == real(drv.obj, 1 + 1j, drv.cfg.opt)
+    assert res == minimize(drv.obj, 1 + 1j, drv.cfg.opt)
     assert drv._optimize_from([2 + 2j]) is None
+
+
+@pytest.mark.parametrize(
+    "kind, a, b, points",
+    [
+        (PencilKind.KREISS_DISCRETE, two_basin_discrete(), None, [-1.5, 1.5, 2j, 1.2 - 1.2j]),
+        (
+            PencilKind.DIST_UNCONTROLLABLE,
+            random_complex(rng(73), 4),
+            random_complex(rng(74), 4, 1),
+            [0j, 1.0, -1 + 1j, 2j],
+        ),
+    ],
+)
+def test_race_without_floor_hit_is_the_best_of_all_descents(kind, a, b, points):
+    drv = _Driver(kind, a, b, [], SolverConfig(), (0.0, np.pi))
+    runs = [minimize(drv.obj, z, drv.cfg.opt) for z in points]
+    assert all(r.value > drv.obj.floor for r in runs)
+    assert drv._optimize_from(points) == min(runs, key=lambda r: r.value)
+
+
+def _kahan_pair(n):
+    b = np.zeros((n, 1), dtype=complex)
+    b[-1, 0] = 1.0
+    return kahan(n), b
+
+
+def test_race_stops_at_the_noise_floor(monkeypatch):
+    # Kahan(40) with B = e_40 is numerically uncontrollable; racing its
+    # restarts to the first one at the floor cut 1,341 evaluations to 837
+    a, b = _kahan_pair(40)
+    real = localopt.objective_value_grad
+    calls = [0]
+
+    def counted(obj, z):
+        calls[0] += 1
+        return real(obj, z)
+
+    monkeypatch.setattr(localopt, "objective_value_grad", counted)
+    res = dtu(a, b, [0.5])
+    assert res.status is SolveStatus.CONVERGED
+    assert res.quantity <= 1e-12 * max(norm2(np.hstack([a, b])), 1.0)
+    assert calls[0] <= 1000
+
+
+def test_race_deterministic_across_workers_at_the_floor():
+    a, b = _kahan_pair(40)
+    payloads = []
+    for workers in (1, 2):
+        d = result_to_dict(dtu(a, b, [0.5], SolverConfig(workers=workers)))
+        d.pop("wall_time_s")
+        payloads.append(d)
+    assert payloads[0] == payloads[1]
+
+
+def test_continuous_underflowing_line_search_step_is_infeasible():
+    # a line-search trial point reached x = 1.46e-265, where the gradient's
+    # x*x underflowed to 0 and raised ZeroDivisionError out of the solve
+    gen = np.random.default_rng([7, 30])
+    n = 7
+    a = random_complex(gen, n)
+    a += np.triu(2 * gen.standard_normal((n, n)), 1)
+    target = -0.1 * gen.uniform(0.2, 2)
+    a = a - (spectral_abscissa(a) - target) * np.eye(n)
+    res = kreiss_continuous(a, [1 + 1j])
+    assert res.status is SolveStatus.CONVERGED
+    s = norm2(a)
+    obj = Objective(PencilKind.KREISS_CONTINUOUS, a)
+    _, v = grid_min(obj, GridSpec((1e-3, 3 * s, -3 * s, 3 * s), 300, 300))
+    assert_close(res.quantity, 1.0 / v, rel=1e-8)
 
 
 def test_solver_config_validation():
