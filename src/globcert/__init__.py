@@ -6,9 +6,9 @@ certified globally optimal by adaptive interpolation of one-variable
 angular certificate functions.
 """
 
-from .certificates import CertificateValue, EvalPolicy, eval_f, eval_g, eval_h
+from .certificates import CertificateValue, eval_f, eval_g, eval_h
 from .chebinterp import InterpOptions, PiecewiseCheb, approximate
-from .localopt import Objective, OptConfig, minimize
+from .localopt import Objective, minimize
 from .pencils import PencilKind, build_dtu_pencil, build_kc_pencil, build_kd_pencil
 from .solver import (
     SolveResult,
@@ -21,10 +21,8 @@ from .solver import (
 
 __all__ = [
     "CertificateValue",
-    "EvalPolicy",
     "InterpOptions",
     "Objective",
-    "OptConfig",
     "PencilKind",
     "PiecewiseCheb",
     "SolveResult",

@@ -11,19 +11,20 @@ one that leaves below the floor reads pi^2, the maximum, so eigenvalues
 entering or leaving the half-plane cause no jump.  The value is zero exactly
 when the ray meets the gamma-level set (or a lower one) of the underlying
 singular-value surface beyond the floor, and every near-axis eigenvalue
-nominating such a crossing is verified by one direct sigma_min evaluation
-before it may force the value to zero.  That direct recheck replaces the
-structured eigensolver backup pass: a nominated point is only useful if the
-objective there is at most gamma, and the recheck answers exactly that,
-immune to rounding in the eigensolve.
+nominating such a crossing is verified by one direct sigma_min evaluation,
+which must come within ``VERIFY_TOL`` relative of gamma, before it may force
+the value to zero.  That direct recheck replaces the structured eigensolver
+backup pass: a nominated point is only useful if the objective there is at
+most gamma, and the recheck answers exactly that, immune to rounding in the
+eigensolve.
 
 A sample costs one eigensolve of the 2n x 2n reduced matrix plus its
-rechecks.  The tolerances are scaled by the family's O(1) upper bound on the
-reduced matrix's 2-norm (``PencilConstants.norm_bound``), not by a per-sample
-SVD: the bound is exact for the uncontrollability family and at least the
-norm for the other two, so it can only widen the nominated set, and every
-nomination is still rechecked.  A and B are validated once, where a caller
-enters without per-level constants.
+rechecks.  The nomination tolerance ``IMAG_TOL`` and the zero-eigenvalue test
+are scaled by the family's O(1) upper bound on the reduced matrix's 2-norm
+(``PencilConstants.norm_bound``), not by a per-sample SVD: the bound is exact
+for the uncontrollability family and at least the norm for the other two, so
+it can only widen the nominated set, and every nomination is still rechecked.
+A and B are validated once, where a caller enters without per-level constants.
 
 Angles are evaluated a chunk at a time (``eval_certificates``): the reduced
 matrices of a chunk are built into one stack, which takes one
@@ -57,7 +58,6 @@ from .pencils import (
 __all__ = [
     "CandidatePoint",
     "CertificateValue",
-    "EvalPolicy",
     "NearZeroPencilEigenvalue",
     "NoAcceptedCandidates",
     "chunk_length",
@@ -75,6 +75,14 @@ _TINY = np.finfo(float).tiny
 # Bytes of reduced matrices stacked into one eigensolve call.
 CHUNK_BYTES = 1 << 20
 
+# An eigenvalue within IMAG_TOL times the family's bound on the reduced
+# matrix's 2-norm (``PencilConstants.norm_bound``) of ``i*[r_floor, inf)``
+# nominates a level-set radius.
+IMAG_TOL = 1e-8
+# A nominated radius is accepted when its recheck gives
+# ``sigma_min <= gamma * (1 + VERIFY_TOL)``.
+VERIFY_TOL = 1e-8
+
 
 class NearZeroPencilEigenvalue(ArithmeticError):
     """A pencil eigenvalue collapsed to numerical zero; Arg would be noise.
@@ -86,27 +94,6 @@ class NearZeroPencilEigenvalue(ArithmeticError):
 
 class NoAcceptedCandidates(RuntimeError):
     """All nominated level-set radii failed the direct sigma_min recheck."""
-
-
-@dataclass(frozen=True)
-class EvalPolicy:
-    """Tolerances for eigenvalue classification and candidate verification.
-
-    imag_tol is relative to the family's upper bound on the reduced matrix's
-    2-norm (``PencilConstants.norm_bound``), exact for the uncontrollability
-    family and at least the norm for the two Kreiss families: an eigenvalue
-    that close to ``i*[r_floor, inf)`` nominates a level-set radius.
-    verify_tol is the relative slack on the recheck
-    ``sigma_min <= gamma * (1 + verify_tol)``.  All three families share one
-    certificate formula and these two tolerances (see the module docstring).
-    """
-
-    imag_tol: float = 1e-8
-    verify_tol: float = 1e-8
-
-    def __post_init__(self):
-        if self.imag_tol <= 0 or self.verify_tol <= 0:
-            raise ValueError("EvalPolicy tolerances must be positive")
 
 
 @dataclass(frozen=True, slots=True)
@@ -149,7 +136,7 @@ def _recheck(kind, a, b, r: float, theta: float) -> float:
     return sigma_f(a, b, r, theta)
 
 
-def _eval_chunk(kind, a, b, gamma, thetas: list[float], policy, const) -> list[CertificateValue]:
+def _eval_chunk(kind, a, b, gamma, thetas: list[float], const) -> list[CertificateValue]:
     """Certificate values at ``thetas``, from one stacked eigensolve.
 
     Classification is whole-array work on the stack; only rows that nominate
@@ -170,7 +157,7 @@ def _eval_chunk(kind, a, b, gamma, thetas: list[float], policy, const) -> list[C
             raise
         # an angle at the degenerate level: evaluate one angle at a time, so
         # that an earlier angle's error still surfaces first
-        return [cv for th in thetas for cv in _eval_chunk(kind, a, b, gamma, [th], policy, const)]
+        return [cv for th in thetas for cv in _eval_chunk(kind, a, b, gamma, [th], const)]
 
     lam = np.linalg.eigvals(stack)
     scales = [max(const.norm_bound(th), _TINY) for th in thetas]
@@ -183,7 +170,7 @@ def _eval_chunk(kind, a, b, gamma, thetas: list[float], policy, const) -> list[C
     near_zero = np.min(np.abs(lam), axis=1) < 1e-14 * scale
     # nominate eigenvalues close to i*[r_floor, inf) as level-set radii
     dist = np.where(mu.real >= r_floor, np.abs(mu.imag), np.abs(shifted))
-    flagged = (dist <= policy.imag_tol * scale[:, None]) & (mu.real > r_floor)
+    flagged = (dist <= IMAG_TOL * scale[:, None]) & (mu.real > r_floor)
 
     out = [CertificateValue(th, v) for th, v in zip(thetas, values.tolist())]
     for i in np.flatnonzero(near_zero | flagged.any(axis=1)):
@@ -197,7 +184,7 @@ def _eval_chunk(kind, a, b, gamma, thetas: list[float], policy, const) -> list[C
         candidates: list[CandidatePoint] = []
         for r in np.sort(mu[i, flagged[i]].real).tolist():
             verified = _recheck(kind, a, b, r, theta)
-            accepted = verified <= gamma * (1.0 + policy.verify_tol)
+            accepted = verified <= gamma * (1.0 + VERIFY_TOL)
             if candidates and abs(r - candidates[-1].r) <= 1e-10 * max(1.0, r):
                 # radii within 1e-10 relative merge, keeping the smaller recheck
                 if verified < candidates[-1].verified_value:
@@ -209,19 +196,19 @@ def _eval_chunk(kind, a, b, gamma, thetas: list[float], policy, const) -> list[C
     return out
 
 
-def eval_g(a, gamma: float, theta: float, policy: EvalPolicy = EvalPolicy()) -> CertificateValue:
+def eval_g(a, gamma: float, theta: float) -> CertificateValue:
     """Continuous-time certificate on the ray at ``theta``; zero marks a crossing."""
-    return eval_certificate(PencilKind.KREISS_CONTINUOUS, a, None, gamma, theta, policy)
+    return eval_certificate(PencilKind.KREISS_CONTINUOUS, a, None, gamma, theta)
 
 
-def eval_h(a, gamma: float, theta: float, policy: EvalPolicy = EvalPolicy()) -> CertificateValue:
+def eval_h(a, gamma: float, theta: float) -> CertificateValue:
     """Discrete-time certificate; only crossings with radius > 1 count."""
-    return eval_certificate(PencilKind.KREISS_DISCRETE, a, None, gamma, theta, policy)
+    return eval_certificate(PencilKind.KREISS_DISCRETE, a, None, gamma, theta)
 
 
-def eval_f(a, b, gamma: float, theta: float, policy: EvalPolicy = EvalPolicy()) -> CertificateValue:
+def eval_f(a, b, gamma: float, theta: float) -> CertificateValue:
     """Uncontrollability certificate over the full plane sweep."""
-    return eval_certificate(PencilKind.DIST_UNCONTROLLABLE, a, b, gamma, theta, policy)
+    return eval_certificate(PencilKind.DIST_UNCONTROLLABLE, a, b, gamma, theta)
 
 
 def chunk_length(n: int) -> int:
@@ -236,7 +223,6 @@ def eval_certificates(
     b,
     gamma,
     thetas,
-    policy=EvalPolicy(),
     const: Optional[PencilConstants] = None,
 ) -> list[CertificateValue]:
     """Certificate values at each angle of ``thetas``, in order.
@@ -263,7 +249,7 @@ def eval_certificates(
     step = chunk_length(a.shape[0])
     out: list[CertificateValue] = []
     for i in range(0, len(thetas), step):
-        out += _eval_chunk(kind, a, b, gamma, thetas[i : i + step], policy, const)
+        out += _eval_chunk(kind, a, b, gamma, thetas[i : i + step], const)
     return out
 
 
@@ -273,11 +259,10 @@ def eval_certificate(
     b,
     gamma,
     theta,
-    policy=EvalPolicy(),
     const: Optional[PencilConstants] = None,
 ) -> CertificateValue:
     """The certificate at one angle: ``eval_certificates`` on a batch of one."""
-    return eval_certificates(kind, a, b, gamma, [theta], policy, const)[0]
+    return eval_certificates(kind, a, b, gamma, [theta], const)[0]
 
 
 def extract_restart_points(cv: CertificateValue) -> list[tuple[complex, float]]:

@@ -18,8 +18,6 @@ from typing import Optional
 
 import numpy as np
 
-from .chebinterp import InterpOptions
-from .certificates import EvalPolicy
 from .linalg import norm2
 from .localopt import Objective
 from .mmio import read_matrix
@@ -66,6 +64,17 @@ def _parse_complex(text: str) -> complex:
         raise argparse.ArgumentTypeError(f"invalid complex number {text!r}") from None
 
 
+def _count(text: str) -> int:
+    # a worker count or restart budget: an integer of at least 1
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid integer {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{value} is less than 1")
+    return value
+
+
 def _default_workers() -> int:
     env = os.environ.get("GLOBCERT_WORKERS")
     if env:
@@ -89,13 +98,8 @@ def _add_common(p: argparse.ArgumentParser, with_solver_opts: bool = True):
         )
         p.add_argument("--json", dest="json_path", metavar="PATH", help="write result JSON")
         p.add_argument("--trace", dest="trace_path", metavar="PATH", help="write certificate trace CSV")
-        p.add_argument("--tol-term", type=float, default=1e-14, help="relative termination tolerance")
-        p.add_argument("--tol-restart", type=float, default=1e-6, help="relative restart threshold")
-        p.add_argument("--gamma-guard", type=float, default=1e-14, help="certificate level safeguard")
-        p.add_argument("--imag-tol", type=float, default=1e-8, help="near-axis eigenvalue tolerance")
-        p.add_argument("--workers", type=int, default=None, help="concurrent certificate evaluations")
-        p.add_argument("--min-samples", type=int, default=17, help="initial interpolation grid size")
-        p.add_argument("--max-restarts", type=int, default=50, help="restart budget")
+        p.add_argument("--workers", type=_count, default=None, help="concurrent certificate evaluations")
+        p.add_argument("--max-restarts", type=_count, default=50, help="restart budget")
 
 
 def _build_parser() -> _Parser:
@@ -168,13 +172,8 @@ def parse_args(argv) -> RunRequest:
                 )
                 raise SystemExit(1)
     cfg = SolverConfig(
-        term_rel=ns.tol_term,
-        restart_rel=ns.tol_restart,
-        gamma_guard=ns.gamma_guard,
-        interp=InterpOptions(min_samples=ns.min_samples),
-        policy=EvalPolicy(imag_tol=ns.imag_tol),
         max_restarts=ns.max_restarts,
-        workers=ns.workers if ns.workers else _default_workers(),
+        workers=ns.workers if ns.workers is not None else _default_workers(),
         shift_center=getattr(ns, "shift_center", False),
     )
     return RunRequest(

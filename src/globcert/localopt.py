@@ -12,7 +12,7 @@ nonsmoothness is introduced.
 The search itself is a two-variable BFGS with backtracking line search;
 Hessians are not used.  Its cost varies widely: without the floor stop below,
 Kahan(60)'s restarts took 10 to 127 evaluations each, and its descent from
-the origin ran to the ``max_iter = 200`` cap.  A descent stops when the
+the origin ran to the ``MAX_ITER = 200`` cap.  A descent stops when the
 gradient vanishes relative to the value, when the step stalls, or when the
 value reaches the objective's noise floor ``Objective.floor``.  For the
 uncontrollability objective that floor is 1e-12·max(‖[A B]‖₂, 1): below it
@@ -42,13 +42,17 @@ __all__ = [
     "InfeasibleStart",
     "LocalMin",
     "Objective",
-    "OptConfig",
     "descend",
     "minimize",
     "objective_value_grad",
 ]
 
 DEGENERATE_REL_GAP = 1e-12
+
+# The stop tests of ``descend``; its docstring says what each one bounds.
+GRAD_TOL = 1e-12
+STEP_TOL = 1e-14
+MAX_ITER = 200
 
 
 class InfeasiblePoint(ValueError):
@@ -102,13 +106,6 @@ class LocalMin:
     iterations: int
     converged: bool = True
     degenerate: bool = False
-
-
-@dataclass(frozen=True)
-class OptConfig:
-    grad_tol: float = 1e-12
-    step_tol: float = 1e-14
-    max_iter: int = 200
 
 
 def _feasible(kind: PencilKind, z: complex) -> bool:
@@ -198,15 +195,15 @@ def _working_grad(kind: PencilKind, p: np.ndarray, native_grad: np.ndarray) -> n
     return native_grad.copy()
 
 
-def descend(obj: Objective, z0: complex, cfg: OptConfig = OptConfig()):
+def descend(obj: Objective, z0: complex):
     """BFGS descent from ``z0`` as a generator; iterates stay strictly feasible.
 
     Yields once after each iteration that does not end the search, and
     returns the ``LocalMin``.  Stops with ``converged=True`` when the
-    working-parameter gradient norm falls below ``grad_tol * max(1, value)``,
+    working-parameter gradient norm falls below ``GRAD_TOL * max(1, value)``,
     when the value reaches ``obj.floor``, or when the step falls below
-    ``step_tol`` relative; hitting the iteration cap returns the best iterate
-    with ``converged=False``.
+    ``STEP_TOL`` relative; hitting the ``MAX_ITER`` cap returns the best
+    iterate with ``converged=False``.
     """
     z0 = complex(z0)
     if not _feasible(obj.kind, z0):
@@ -219,9 +216,9 @@ def descend(obj: Objective, z0: complex, cfg: OptConfig = OptConfig()):
     iters = 0
     converged = False
 
-    while iters < cfg.max_iter:
+    while iters < MAX_ITER:
         gnorm = float(np.linalg.norm(g))
-        if gnorm <= cfg.grad_tol * max(1.0, abs(f)) or f <= obj.floor:
+        if gnorm <= GRAD_TOL * max(1.0, abs(f)) or f <= obj.floor:
             converged = True
             break
         d = -hinv @ g
@@ -257,7 +254,7 @@ def descend(obj: Objective, z0: complex, cfg: OptConfig = OptConfig()):
             rho = 1.0 / sy
             v = np.eye(2) - rho * np.outer(s, y)
             hinv = v @ hinv @ v.T + rho * np.outer(s, s)
-        if float(np.linalg.norm(s)) <= cfg.step_tol * max(1.0, float(np.linalg.norm(p))):
+        if float(np.linalg.norm(s)) <= STEP_TOL * max(1.0, float(np.linalg.norm(p))):
             converged = True
             break
         yield
@@ -273,9 +270,9 @@ def descend(obj: Objective, z0: complex, cfg: OptConfig = OptConfig()):
     )
 
 
-def minimize(obj: Objective, z0: complex, cfg: OptConfig = OptConfig()) -> LocalMin:
+def minimize(obj: Objective, z0: complex) -> LocalMin:
     """BFGS descent from ``z0`` run to its end; see ``descend``."""
-    run = descend(obj, z0, cfg)
+    run = descend(obj, z0)
     while True:
         try:
             next(run)

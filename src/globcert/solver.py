@@ -3,10 +3,10 @@
 Each driver alternates two phases.  Local optimization lowers the current
 estimate ``gamma`` of the target quantity.  A certificate round then sweeps
 the angular domain, adaptively interpolating the certificate function
-evaluated at the safeguarded level ``gamma * (1 - gamma_guard)``: any sampled
+evaluated at the safeguarded level ``gamma * (1 - GAMMA_GUARD)``: any sampled
 zero nominates level-set points, and optimization restarts from all of them
-when it improves gamma by at least ``restart_rel`` relative.  A restart that
-improves gamma by less than ``term_rel`` relative (including not at all)
+when it improves gamma by at least ``RESTART_REL`` relative.  A restart that
+improves gamma by less than ``TERM_REL`` relative (including not at all)
 marks the zeros as numerically stationary and ends the round as converged,
 without sweeping the rest of the domain; ROADMAP item 1 tracks making such
 zeros be consumed instead.  Zeros whose restarts improve gamma by an amount
@@ -56,7 +56,6 @@ import numpy as np
 
 from .certificates import (
     CertificateValue,
-    EvalPolicy,
     chunk_length,
     eval_certificates,
     extract_restart_points,
@@ -76,7 +75,6 @@ from .localopt import (
     InfeasibleStart,
     LocalMin,
     Objective,
-    OptConfig,
     descend,
 )
 from .pencils import (
@@ -109,6 +107,13 @@ class ZeroEigenvalue(ValueError):
     """
 
 
+# Relative thresholds of the restart loop, described in the module docstring.
+# Their order must stay 0 < GAMMA_GUARD < RESTART_REL < 1.
+TERM_REL = 1e-14
+RESTART_REL = 1e-6
+GAMMA_GUARD = 1e-14
+
+
 class SolveStatus(Enum):
     CONVERGED = "Converged"
     MAX_RESTARTS = "MaxRestarts"
@@ -119,24 +124,19 @@ class SolveStatus(Enum):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Tolerances, guards, domain control, and parallelism width."""
+    """Interpolation options, restart budget, parallelism width and centering.
 
-    term_rel: float = 1e-14
-    restart_rel: float = 1e-6
-    gamma_guard: float = 1e-14
+    The tolerances are module constants: ``TERM_REL``, ``RESTART_REL`` and
+    ``GAMMA_GUARD`` here, ``IMAG_TOL`` and ``VERIFY_TOL`` in ``certificates``,
+    ``GRAD_TOL``, ``STEP_TOL`` and ``MAX_ITER`` in ``localopt``.
+    """
+
     interp: InterpOptions = InterpOptions()
-    policy: EvalPolicy = EvalPolicy()
-    opt: OptConfig = OptConfig()
     max_restarts: int = 50
     workers: int = 1
-    domain_override: Optional[tuple[float, float]] = None
     shift_center: bool = False
 
     def __post_init__(self):
-        if not (0.0 < self.gamma_guard < self.restart_rel < 1.0):
-            raise ValueError("need 0 < gamma_guard < restart_rel < 1")
-        if self.term_rel <= 0.0:
-            raise ValueError("term_rel must be positive")
         if self.max_restarts < 1 or self.workers < 1:
             raise ValueError("max_restarts and workers must be at least 1")
 
@@ -199,7 +199,7 @@ class _Driver:
         self.a = a
         self.b = b
         self.cfg = cfg
-        self.domain = cfg.domain_override if cfg.domain_override is not None else domain
+        self.domain = domain
         self.obj = Objective(kind, a, b)
         self.starts = list(starts)
         self.gamma = np.inf
@@ -221,13 +221,13 @@ class _Driver:
         floor wins at once; otherwise all runs finish and the lowest wins.
         Runs do not interact, so the winner does not depend on ``workers``.
         """
-        obj, opt, floor = self.obj, self.cfg.opt, self.obj.floor
+        obj, floor = self.obj, self.obj.floor
 
         def run(z0):
             # a start that is infeasible once rounded, or whose SVD fails,
             # is dropped; any other error is a defect and propagates
             try:
-                return (yield from descend(obj, z0, opt))
+                return (yield from descend(obj, z0))
             except (InfeasibleStart, InfeasiblePoint, DecompositionError):
                 return None
 
@@ -276,11 +276,11 @@ class _Driver:
             lam = np.linalg.eigvalsh(self.a @ self.a.conj().T)
             scale = max(norm2(self.a) ** 2, np.finfo(float).tiny)
             if np.min(np.abs(self.gamma**2 - lam)) <= 1e-12 * scale:
-                self.gamma *= 1.0 - 10.0 * self.cfg.gamma_guard
+                self.gamma *= 1.0 - 10.0 * GAMMA_GUARD
         elif self.kind is PencilKind.DIST_UNCONTROLLABLE:
             f0 = sigma_f(self.a, self.b, 0.0, 0.0)
             if self.gamma >= f0 * (1.0 - 1e-12):
-                self.gamma = f0 * (1.0 - 10.0 * self.cfg.gamma_guard)
+                self.gamma = f0 * (1.0 - 10.0 * GAMMA_GUARD)
 
     def _certificate_round(self) -> str:
         """One full certificate round; returns 'restart', 'converged' or 'uncertified'."""
@@ -293,7 +293,7 @@ class _Driver:
         n_new = [0]
 
         for _attempt in range(6):
-            gamma_cert = gamma_round * (1.0 - self.cfg.gamma_guard)
+            gamma_cert = gamma_round * (1.0 - GAMMA_GUARD)
             if self.kind is not PencilKind.DIST_UNCONTROLLABLE:
                 # Keep the certificate level away from 1, where the second
                 # pencil member degenerates and its inverse amplifies
@@ -311,7 +311,7 @@ class _Driver:
 
                 def chunk(ts):
                     return eval_certificates(
-                        self.kind, self.a, self.b, gamma_cert, ts, self.cfg.policy, self.const
+                        self.kind, self.a, self.b, gamma_cert, ts, self.const
                     )
 
                 # a chunk is one stacked eigensolve; short batches are spread
@@ -349,7 +349,7 @@ class _Driver:
                 verdict = "uncertified"
             except NearSingularSecondMember:
                 # a sample landed on the degenerate level: perturb and retry
-                gamma_round *= 1.0 - 10.0 * self.cfg.gamma_guard
+                gamma_round *= 1.0 - 10.0 * GAMMA_GUARD
                 self.gamma = min(self.gamma, gamma_round)
                 cache.clear()
                 consumed.clear()
@@ -420,12 +420,12 @@ class _Driver:
         consumed.update(cv.theta for cv in zeros)
         gamma_before = self.gamma
         improvement = self._adopt(self._optimize_from(points))
-        if improvement >= self.cfg.restart_rel:
+        if improvement >= RESTART_REL:
             self.restarts.append(
                 RestartRecord(gamma_before, self.gamma, trigger, tuple(points))
             )
             return "restart"
-        if improvement < self.cfg.term_rel:
+        if improvement < TERM_REL:
             # numerically stationary at the global minimum: terminal record
             if improvement > 0.0:
                 self.restarts.append(

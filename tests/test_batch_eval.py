@@ -13,7 +13,6 @@ import pytest
 from conftest import random_complex, rng
 from globcert import certificates
 from globcert.certificates import (
-    EvalPolicy,
     NearZeroPencilEigenvalue,
     chunk_length,
     eval_certificate,
@@ -62,7 +61,7 @@ def _reference_matrix(kind, a, b, gamma, theta):
     return np.block([[blocks[0], blocks[1]], [blocks[2], blocks[3]]])
 
 
-def _reference_certificate(kind, a, b, gamma, theta, policy, const):
+def _reference_certificate(kind, a, b, gamma, theta, const):
     """(value, candidates as field tuples, merges) at one angle."""
     lam = np.linalg.eigvals(_reference_matrix(kind, a, b, gamma, theta))
     scale = max(const.norm_bound(theta), np.finfo(float).tiny)
@@ -72,7 +71,7 @@ def _reference_certificate(kind, a, b, gamma, theta, policy, const):
     mu = lam / 1j
     relevant = mu[lam.real <= 0.0]
     value = PI_SQ if relevant.size == 0 else float(np.min(np.angle(relevant - r_floor) ** 2))
-    tol = policy.imag_tol * scale
+    tol = certificates.IMAG_TOL * scale
     dist = np.where(mu.real >= r_floor, np.abs(mu.imag), np.abs(mu - r_floor))
     flagged = np.sort(mu[(dist <= tol) & (mu.real > r_floor)].real)
 
@@ -87,7 +86,7 @@ def _reference_certificate(kind, a, b, gamma, theta, policy, const):
     for r in flagged:
         r = float(r)
         verified = verify(r)
-        accepted = verified <= gamma * (1.0 + policy.verify_tol)
+        accepted = verified <= gamma * (1.0 + certificates.VERIFY_TOL)
         if cands and abs(r - cands[-1][0]) <= 1e-10 * max(1.0, r):
             merges += 1
             if verified < cands[-1][2]:
@@ -188,17 +187,16 @@ def test_stacks_of_order_one_and_two_match_single_angles():
 
 
 def test_batched_certificates_equal_per_angle_reference_bitwise():
-    policy = EvalPolicy()
     seen = {kind: {"zero": 0, "pi_sq": 0, "merged": 0} for kind in PencilKind}
     for kind, a, b, gamma, thetas in _cases():
         a, b, const = _prepared(kind, a, b, gamma)
         thetas = [float(t) for t in thetas]
-        cvs = eval_certificates(kind, a, b, gamma, thetas, policy, const)
+        cvs = eval_certificates(kind, a, b, gamma, thetas, const)
         assert len(cvs) == len(thetas)
         for th, cv in zip(thetas, cvs):
-            ref = _reference_certificate(kind, a, b, gamma, th, policy, const)
+            ref = _reference_certificate(kind, a, b, gamma, th, const)
             assert _same_cv(cv, th, ref), (kind, gamma, th)
-            assert _same_cv(eval_certificate(kind, a, b, gamma, th, policy, const), th, ref)
+            assert _same_cv(eval_certificate(kind, a, b, gamma, th, const), th, ref)
             seen[kind]["zero"] += cv.is_zero
             seen[kind]["pi_sq"] += cv.value == PI_SQ
             seen[kind]["merged"] += ref[2] > 0
@@ -209,22 +207,21 @@ def test_batched_certificates_equal_per_angle_reference_bitwise():
 
 @pytest.mark.parametrize("kind", list(PencilKind))
 def test_chunk_boundaries_change_no_bits(kind, monkeypatch):
-    policy = EvalPolicy()
     case = next(c for c in _cases() if c[0] is kind)
     _, a, b, gamma, thetas = case
     a, b, const = _prepared(kind, a, b, gamma)
     thetas = [float(t) for t in thetas]
     k = len(thetas)
-    refs = [_reference_certificate(kind, a, b, gamma, th, policy, const) for th in thetas]
+    refs = [_reference_certificate(kind, a, b, gamma, th, const) for th in thetas]
     per_matrix = 16 * (2 * a.shape[0]) ** 2
     assert chunk_length(a.shape[0]) >= k  # by default the whole set is one chunk
     for length in (1, k - 1, 4):
         monkeypatch.setattr(certificates, "CHUNK_BYTES", length * per_matrix)
         assert chunk_length(a.shape[0]) == length
-        cvs = eval_certificates(kind, a, b, gamma, thetas, policy, const)
+        cvs = eval_certificates(kind, a, b, gamma, thetas, const)
         assert all(_same_cv(cv, th, ref) for cv, th, ref in zip(cvs, thetas, refs)), length
     # one angle, alone
-    cv = eval_certificates(kind, a, b, gamma, thetas[:1], policy, const)
+    cv = eval_certificates(kind, a, b, gamma, thetas[:1], const)
     assert len(cv) == 1 and _same_cv(cv[0], thetas[0], refs[0])
 
 
@@ -266,9 +263,9 @@ def test_near_singular_second_member_names_first_offending_angle():
     with pytest.raises(NearSingularSecondMember, match=f"at theta={bad!r}$"):
         reduced_kc_matrix(a, gamma, np.array(thetas), const)
     with pytest.raises(NearSingularSecondMember, match=f"at theta={bad!r}$"):
-        eval_certificates(KC, a, None, gamma, thetas, EvalPolicy(), const)
+        eval_certificates(KC, a, None, gamma, thetas, const)
     with pytest.raises(NearSingularSecondMember, match=f"at theta={-bad!r}$"):
-        eval_certificates(KC, a, None, gamma, [0.1, -bad, bad], EvalPolicy(), const)
+        eval_certificates(KC, a, None, gamma, [0.1, -bad, bad], const)
 
 
 def test_near_zero_eigenvalue_names_first_offending_angle():
@@ -278,15 +275,15 @@ def test_near_zero_eigenvalue_names_first_offending_angle():
     gamma = 1.5
     const = pencil_constants(KC, a, None, gamma)
     singular = float(np.arccos(1.0 / gamma))
-    ok = [cv.value for cv in eval_certificates(KC, a, None, gamma, [1.2, 1.4], EvalPolicy(), const)]
+    ok = [cv.value for cv in eval_certificates(KC, a, None, gamma, [1.2, 1.4], const)]
     assert len(ok) == 2
     for th in (0.1, 0.3):
         with pytest.raises(NearZeroPencilEigenvalue):
-            eval_certificate(KC, a, None, gamma, th, EvalPolicy(), const)
+            eval_certificate(KC, a, None, gamma, th, const)
     with pytest.raises(NearZeroPencilEigenvalue, match=f"at theta={0.3!r}$"):
-        eval_certificates(KC, a, None, gamma, [1.4, 0.3, 1.2, 0.1], EvalPolicy(), const)
+        eval_certificates(KC, a, None, gamma, [1.4, 0.3, 1.2, 0.1], const)
     # errors of both kinds: the one at the earlier angle is raised
     with pytest.raises(NearZeroPencilEigenvalue, match=f"at theta={0.3!r}$"):
-        eval_certificates(KC, a, None, gamma, [1.4, 0.3, singular], EvalPolicy(), const)
+        eval_certificates(KC, a, None, gamma, [1.4, 0.3, singular], const)
     with pytest.raises(NearSingularSecondMember, match=f"at theta={singular!r}$"):
-        eval_certificates(KC, a, None, gamma, [1.4, singular, 0.3], EvalPolicy(), const)
+        eval_certificates(KC, a, None, gamma, [1.4, singular, 0.3], const)

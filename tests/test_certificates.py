@@ -7,7 +7,6 @@ from conftest import assert_close, random_complex, rng, stable_continuous
 from globcert.certificates import (
     CandidatePoint,
     CertificateValue,
-    EvalPolicy,
     NoAcceptedCandidates,
     eval_certificate,
     eval_f,
@@ -111,11 +110,11 @@ def test_eval_certificate_same_with_and_without_constants():
                     continue  # a degenerate level or a zero pencil eigenvalue
                 if kind not in const:
                     const[kind] = pencil_constants(kind, a, bk, g)
-                assert eval_certificate(kind, a, bk, g, th, EvalPolicy(), const[kind]) == plain
+                assert eval_certificate(kind, a, bk, g, th, const[kind]) == plain
                 evaluated += 1
     assert evaluated > 300
     with pytest.raises(ValueError):
-        eval_certificate(PencilKind.DIST_UNCONTROLLABLE, a, b, 2 * g, 0.0, EvalPolicy(),
+        eval_certificate(PencilKind.DIST_UNCONTROLLABLE, a, b, 2 * g, 0.0,
                          const[PencilKind.DIST_UNCONTROLLABLE])
 
 

@@ -161,6 +161,17 @@ def test_cli_exit_codes(tmp_path):
     assert main(["kreiss-d", "whatever.mtx", "--start", "0.5"]) == 1
 
 
+@pytest.mark.parametrize(
+    "flag, value", [("--workers", "0"), ("--workers", "-1"), ("--max-restarts", "0")]
+)
+def test_cli_rejects_counts_below_one(tmp_path, capsys, flag, value):
+    a_path = tmp_path / "A.mtx"
+    write_matrix(a_path, np.array([[-0.5, 5.0], [0.0, -0.5]]))
+    assert main(["kreiss-c", str(a_path), flag, value]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage:") and f"argument {flag}" in err
+
+
 def test_cli_uncertified_exits_like_max_restarts(tmp_path, monkeypatch, capsys):
     a_path = tmp_path / "A.mtx"
     write_matrix(a_path, np.array([[0.5, 2.0], [0.0, 0.4]]))

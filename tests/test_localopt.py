@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import globcert.localopt as localopt
 from conftest import assert_close, random_complex, rng, stable_continuous
 from globcert.linalg import smallest_singular_triplet
 from globcert.localopt import (
@@ -188,6 +189,20 @@ def test_descend_is_minimize_one_iteration_at_a_time():
         yields += 1
     assert res == minimize(obj, 1 + 1j)
     assert res.converged and 1 <= res.iterations and yields <= res.iterations
+
+
+def test_descend_stops_at_the_iteration_cap(monkeypatch):
+    # the cap is read when a descent runs, so patching the module constant
+    # takes effect; the best iterate so far is returned, unconverged
+    a = stable_continuous(rng(75), 4)
+    obj = Objective(PencilKind.KREISS_CONTINUOUS, a)
+    start, _, _ = objective_value_grad(obj, 1 + 1j)
+    assert minimize(obj, 1 + 1j).iterations > 2
+    monkeypatch.setattr(localopt, "MAX_ITER", 2)
+    res = minimize(obj, 1 + 1j)
+    assert res.converged is False
+    assert res.iterations == 2
+    assert res.value <= start
 
 
 def test_objective_floors():

@@ -241,7 +241,7 @@ def _continuous_state():
 
 
 def test_optimize_from_propagates_unexpected_errors(monkeypatch):
-    def broken(obj, z0, cfg):
+    def broken(obj, z0):
         raise ZeroDivisionError("a defect, not an infeasible start")
 
     monkeypatch.setattr(solver, "descend", broken)
@@ -253,17 +253,17 @@ def test_optimize_from_drops_infeasible_starts(monkeypatch):
     real = solver.descend
     calls = []
 
-    def picky(obj, z0, cfg):
+    def picky(obj, z0):
         calls.append(z0)
         if z0 == 2 + 2j:
             raise InfeasibleStart("rejected")
-        return real(obj, z0, cfg)
+        return real(obj, z0)
 
     monkeypatch.setattr(solver, "descend", picky)
     drv = _continuous_state()
     res = drv._optimize_from([2 + 2j, 1 + 1j])
     assert calls == [2 + 2j, 1 + 1j]
-    assert res == minimize(drv.obj, 1 + 1j, drv.cfg.opt)
+    assert res == minimize(drv.obj, 1 + 1j)
     assert drv._optimize_from([2 + 2j]) is None
 
 
@@ -281,7 +281,7 @@ def test_optimize_from_drops_infeasible_starts(monkeypatch):
 )
 def test_race_without_floor_hit_is_the_best_of_all_descents(kind, a, b, points):
     drv = _Driver(kind, a, b, [], SolverConfig(), (0.0, np.pi))
-    runs = [minimize(drv.obj, z, drv.cfg.opt) for z in points]
+    runs = [minimize(drv.obj, z) for z in points]
     assert all(r.value > drv.obj.floor for r in runs)
     assert drv._optimize_from(points) == min(runs, key=lambda r: r.value)
 
@@ -339,23 +339,23 @@ def test_continuous_underflowing_line_search_step_is_infeasible():
 
 def test_solver_config_validation():
     with pytest.raises(ValueError):
-        SolverConfig(gamma_guard=1e-3, restart_rel=1e-6)
-    with pytest.raises(ValueError):
-        SolverConfig(term_rel=0.0)
-    with pytest.raises(ValueError):
         SolverConfig(workers=0)
+    with pytest.raises(ValueError):
+        SolverConfig(max_restarts=0)
 
 
 def test_dtu_hermitian_symmetry_reduction():
     # Hermitian A with complex B still has real-axis-symmetric level sets,
-    # so the reduced sweep must agree with a full-circle override
+    # so the reduced sweep must agree with a full-circle sweep
     gen = rng(64)
     a = random_complex(gen, 3)
     a = a + a.conj().T
     b = random_complex(gen, 3, 2)
     res_half = dtu(a, b, [1.0 + 0j])
-    res_full = dtu(a, b, [1.0 + 0j], SolverConfig(domain_override=(-np.pi, np.pi)))
-    assert_close(res_half.quantity, res_full.quantity, rel=1e-9)
+    full = _Driver(
+        PencilKind.DIST_UNCONTROLLABLE, a, b, [1.0 + 0j, 0j], SolverConfig(), (-np.pi, np.pi)
+    ).run()
+    assert_close(res_half.quantity, full.gamma, rel=1e-9)
 
 
 def test_shift_center_invariance():
