@@ -7,7 +7,7 @@ angular certificate functions.
 """
 
 from .certificates import CertificateValue, eval_f, eval_g, eval_h
-from .chebinterp import InterpOptions, PiecewiseCheb, approximate
+from .chebinterp import PiecewiseCheb, approximate
 from .localopt import Objective, minimize
 from .pencils import PencilKind, build_dtu_pencil, build_kc_pencil, build_kd_pencil
 from .solver import (
@@ -21,7 +21,6 @@ from .solver import (
 
 __all__ = [
     "CertificateValue",
-    "InterpOptions",
     "Objective",
     "PencilKind",
     "PiecewiseCheb",

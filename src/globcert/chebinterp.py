@@ -2,7 +2,10 @@
 
 The engine samples a real function at Chebyshev points of the second kind,
 doubling the grid (17 -> 33 -> 65 -> ...) until the trailing coefficients pass
-below a relative tolerance.  A caller that needs only the zero set of a
+below the relative tolerance ``TOL``.  The ladder is fixed: it starts at
+``MIN_SAMPLES`` points per piece and stops at ``MAX_DEGREE``, and an
+interpolant has at most ``MAX_PIECES`` pieces; running out raises
+``BudgetExceeded``.  A caller that needs only the zero set of a
 nonnegative function relaxes that tolerance, piece by piece, to a fraction
 of the piece's smallest sample (``approximate(..., zero_set_only=True)``).
 When the ladder stalls on a nonsmooth feature, the feature is located by a
@@ -35,7 +38,6 @@ __all__ = [
     "BudgetExceeded",
     "ChebPiece",
     "Completed",
-    "InterpOptions",
     "OutOfDomain",
     "PiecewiseCheb",
     "approximate",
@@ -52,22 +54,23 @@ _SAMPLE_TEST_NODES = (-0.357998918959666, 0.036412078216417)
 # error is below this fraction of its smallest sample
 ZERO_SET_REL = 1e-2
 
+# The adaptive ladder: each piece is sampled on 17, 33, 65, ... Chebyshev
+# points, from MIN_SAMPLES up to MAX_DEGREE, and an interpolant has at most
+# MAX_PIECES pieces.  MIN_SAMPLES must be at least 5, and MAX_DEGREE must sit
+# on the 2^k + 1 ladder above MIN_SAMPLES.  All four are read when
+# ``approximate`` runs.
+TOL = 1e-13
+MIN_SAMPLES = 17
+MAX_DEGREE = 2**14 + 1
+MAX_PIECES = 64
+
 
 class OutOfDomain(ValueError):
     """Evaluation point lies outside the interpolant's domain."""
 
 
 class BudgetExceeded(RuntimeError):
-    """Degree and piece budgets exhausted before convergence.
-
-    Carries the best interpolant assembled so far and its estimated
-    relative error.
-    """
-
-    def __init__(self, message, interpolant, error_estimate):
-        super().__init__(message)
-        self.interpolant = interpolant
-        self.error_estimate = error_estimate
+    """Degree and piece budgets exhausted before convergence."""
 
 
 def chebpts(m: int, a: float = -1.0, b: float = 1.0) -> np.ndarray:
@@ -404,26 +407,6 @@ class PiecewiseCheb:
 
 
 @dataclass(frozen=True)
-class InterpOptions:
-    """Knobs for the adaptive construction.
-
-    ``max_degree`` caps the per-piece point count and must sit on the
-    power-of-two-plus-one ladder above ``min_samples``.
-    """
-
-    tol: float = 1e-13
-    min_samples: int = 17
-    max_degree: int = 2**14 + 1
-    max_pieces: int = 64
-
-    def __post_init__(self):
-        if self.min_samples < 5:
-            raise ValueError("min_samples must be at least 5")
-        if self.max_degree < self.min_samples or ((self.max_degree - 1) & (self.max_degree - 2)):
-            raise ValueError("max_degree must be a power of two plus one")
-
-
-@dataclass(frozen=True)
 class Completed:
     interpolant: PiecewiseCheb
     sample_count: int
@@ -549,27 +532,25 @@ def _zero_set_floor(vals: np.ndarray, prev: Optional[np.ndarray]) -> float:
     return floor if np.max(np.abs(predicted - vals[1::2])) <= 10.0 * floor else 0.0
 
 
-def _run_ladder(
-    sampler: _Sampler, a: float, b: float, opts: InterpOptions, zero_set_only: bool
-) -> np.ndarray:
+def _run_ladder(sampler: _Sampler, a: float, b: float, zero_set_only: bool) -> np.ndarray:
     """Grow the grid on [a, b] until converged; raise _NeedSplit on a stall.
 
-    One acceptance rule: the tail is at most ``target = max(tol * scale,
+    One acceptance rule: the tail is at most ``target = max(TOL * scale,
     floor)``, and the function agrees with the series at two off-grid points
-    to ``max(100 * tol * scale, 10 * floor)``; coefficients below half the
+    to ``max(100 * TOL * scale, 10 * floor)``; coefficients below half the
     target are trimmed.  The floor is 0 unless ``zero_set_only``, when
     ``_zero_set_floor`` sets it from the smallest sample: for a nonnegative
     function whose zero set is all the caller needs, an error small relative
     to the piece's own minimum cannot move that set, so only pieces that
-    sample values near 0 are resolved to ``tol``.  With a floor of 0 the
-    rule is the uniform ``tol`` contract.
+    sample values near 0 are resolved to ``TOL``.  With a floor of 0 the
+    rule is the uniform ``TOL`` contract.
 
     A stalled piece is also accepted when its tail is within the documented
-    validation-error contract (50 * tol * scale): splitting a piece that is
+    validation-error contract (50 * TOL * scale): splitting a piece that is
     already within contract burns budget chasing sub-contract wiggles, e.g.
     square-root kinks of rounding-level amplitude.
     """
-    m = opts.min_samples - 1
+    m = MIN_SAMPLES - 1
     prev_tail = np.inf
     stalls = 0
     coeffs = None
@@ -578,25 +559,25 @@ def _run_ladder(
         prev, coeffs = coeffs, vals2coeffs(vals)
         fscale = max(sampler.scale, np.finfo(float).tiny)
         floor = _zero_set_floor(vals, prev) if zero_set_only else 0.0
-        target = max(opts.tol * fscale, floor)
+        target = max(TOL * fscale, floor)
         tail = float(np.max(np.abs(coeffs[-2:])))
         if tail <= target:
             # off-grid accuracy check guards against aliasing on the grid
             xs = np.array([0.5 * (a + b) + 0.5 * (b - a) * t for t in _SAMPLE_TEST_NODES])
             err = np.max(np.abs(sampler.eval(xs) - _clenshaw(coeffs, np.asarray(_SAMPLE_TEST_NODES))))
-            if err <= max(100.0 * opts.tol * fscale, 10.0 * floor):
+            if err <= max(100.0 * TOL * fscale, 10.0 * floor):
                 return _trim_coeffs(coeffs, 0.5 * target)
         stalls = stalls + 1 if tail > 0.125 * prev_tail else 0
         prev_tail = tail
-        within_contract = tail <= 50.0 * opts.tol * fscale
+        within_contract = tail <= 50.0 * TOL * fscale
         if stalls >= 2 and m + 1 >= 65:
             if within_contract:
                 return _trim_coeffs(coeffs, 0.5 * target)
             # split only when the plateau sits far above the target: a tail
-            # within a few decades of tol is cheaper to finish by doubling
-            if tail > 1e3 * opts.tol * fscale:
+            # within a few decades of TOL is cheaper to finish by doubling
+            if tail > 1e3 * TOL * fscale:
                 raise _NeedSplit(coeffs, tail)
-        if 2 * m + 1 > opts.max_degree:
+        if 2 * m + 1 > MAX_DEGREE:
             if within_contract:
                 return _trim_coeffs(coeffs, 0.5 * target)
             raise _NeedSplit(coeffs, tail)  # caller splits, or converts to BudgetExceeded
@@ -607,7 +588,6 @@ def approximate(
     fn: Callable[[np.ndarray], Sequence[Any]],
     lo: float,
     hi: float,
-    opts: InterpOptions = InterpOptions(),
     abort_on: Optional[Callable[[Any], bool]] = None,
     value_key: Optional[Callable[[Any], float]] = None,
     *,
@@ -628,9 +608,9 @@ def approximate(
     zero_set_only : bool, keyword-only
         The caller needs only the zero set of a nonnegative ``fn``.  A piece
         is then accepted once its error is below ``ZERO_SET_REL`` of its
-        smallest sample, instead of ``opts.tol`` of the sampled scale, and
+        smallest sample, instead of ``TOL`` of the sampled scale, and
         the interpolant is accurate to that only.  Pieces whose samples near
-        0 are still resolved to ``opts.tol``.
+        0 are still resolved to ``TOL``.
 
     Returns
     -------
@@ -639,8 +619,8 @@ def approximate(
     Raises
     ------
     BudgetExceeded
-        When degree and piece budgets are exhausted; carries the best
-        interpolant built so far and its estimated relative error.
+        When a piece stalls at ``MAX_DEGREE`` points and splitting it would
+        exceed ``MAX_PIECES`` pieces.
     """
     if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
         raise ValueError(f"invalid interval [{lo!r}, {hi!r}]")
@@ -653,22 +633,11 @@ def approximate(
     splits_used = 0
     width_floor = 64.0 * np.finfo(float).eps * (hi - lo)
 
-    def _budget(msg: str, extra: list[tuple[float, float, np.ndarray]]):
-        pieces = list(done) + [ChebPiece(a, b, c) for a, b, c in extra]
-        for a, b, _, _ in pending:
-            c = vals2coeffs(sampler.eval(chebpts(opts.min_samples - 1, a, b)))
-            pieces.append(ChebPiece(a, b, c))
-        pieces.sort(key=lambda p: p.a)
-        interp = PiecewiseCheb(tuple(pieces), (float(lo), float(hi)))
-        fscale = max(sampler.scale, np.finfo(float).tiny)
-        est = max(float(np.max(np.abs(p.coeffs[-2:]))) for p in pieces) / fscale
-        return BudgetExceeded(msg, interp, est)
-
     try:
         while pending:
             a, b, parent_plateau, hint = pending.pop(0)
             try:
-                coeffs = _run_ladder(sampler, a, b, opts, zero_set_only)
+                coeffs = _run_ladder(sampler, a, b, zero_set_only)
             except _NeedSplit as ns:
                 # a plateau that splitting barely lowers AND that is already
                 # tiny relative to the sampled scale is noise-limited, e.g. a
@@ -681,11 +650,8 @@ def approximate(
                 if noise_limited or (b - a) <= width_floor:
                     done.append(ChebPiece(a, b, ns.best_coeffs))
                     continue
-                if splits_used + 1 >= opts.max_pieces:
-                    raise _budget(
-                        f"piece budget max_pieces={opts.max_pieces} exhausted",
-                        [(a, b, ns.best_coeffs)],
-                    ) from None
+                if splits_used + 1 >= MAX_PIECES:
+                    raise BudgetExceeded(f"piece budget MAX_PIECES={MAX_PIECES} exhausted") from None
                 # reuse a feature already located in this interval by the
                 # parent; only fresh features pay for edge location
                 x = hint if hint is not None and a < hint < b else _locate_edge(sampler, a, b)

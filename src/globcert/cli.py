@@ -75,14 +75,17 @@ def _count(text: str) -> int:
     return value
 
 
-def _default_workers() -> int:
+def _default_workers(command: str) -> int:
+    # GLOBCERT_WORKERS follows the rule of --workers; unset or empty means
+    # one worker per CPU
     env = os.environ.get("GLOBCERT_WORKERS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return os.cpu_count() or 1
+    if not env:
+        return os.cpu_count() or 1
+    try:
+        return _count(env)
+    except argparse.ArgumentTypeError as exc:
+        print(f"globcert {command}: error: GLOBCERT_WORKERS: {exc}", file=sys.stderr)
+        raise SystemExit(1) from None
 
 
 def _add_common(p: argparse.ArgumentParser, with_solver_opts: bool = True):
@@ -173,7 +176,7 @@ def parse_args(argv) -> RunRequest:
                 raise SystemExit(1)
     cfg = SolverConfig(
         max_restarts=ns.max_restarts,
-        workers=ns.workers if ns.workers is not None else _default_workers(),
+        workers=ns.workers if ns.workers is not None else _default_workers(ns.command),
         shift_center=getattr(ns, "shift_center", False),
     )
     return RunRequest(

@@ -51,14 +51,14 @@ def read_matrix(path) -> np.ndarray:
     parts = size_line.split()
     want = 2 if fmt == "array" else 3
     if len(parts) != want:
-        raise MatrixMarketError(f"{path}: line {size_no + 1}: expected {want} size fields")
+        raise MatrixMarketError(f"{path}: line {size_no}: expected {want} size fields")
     try:
         dims = [int(p) for p in parts]
     except ValueError:
-        raise MatrixMarketError(f"{path}: line {size_no + 1}: non-integer size") from None
+        raise MatrixMarketError(f"{path}: line {size_no}: non-integer size") from None
     rows, cols = dims[0], dims[1]
     if rows < 1 or cols < 1:
-        raise MatrixMarketError(f"{path}: line {size_no + 1}: empty dimensions")
+        raise MatrixMarketError(f"{path}: line {size_no}: empty dimensions")
     m = np.zeros((rows, cols), dtype=np.complex128)
 
     def parse_value(fields, lineno):
@@ -72,7 +72,7 @@ def read_matrix(path) -> np.ndarray:
             return complex(float(fields[0]), 0.0)
         except ValueError:
             raise MatrixMarketError(
-                f"{path}: line {lineno + 1}: bad {field} value {' '.join(fields)!r}"
+                f"{path}: line {lineno}: bad {field} value {' '.join(fields)!r}"
             ) from None
 
     entries = body[1:]
@@ -92,15 +92,15 @@ def read_matrix(path) -> np.ndarray:
         for lineno, ln in entries:
             fields = ln.split()
             if len(fields) < 3:
-                raise MatrixMarketError(f"{path}: line {lineno + 1}: short entry")
+                raise MatrixMarketError(f"{path}: line {lineno}: short entry")
             try:
                 i, j = int(fields[0]), int(fields[1])
             except ValueError:
                 raise MatrixMarketError(
-                    f"{path}: line {lineno + 1}: non-integer indices"
+                    f"{path}: line {lineno}: non-integer indices"
                 ) from None
             if not (1 <= i <= rows and 1 <= j <= cols):
-                raise MatrixMarketError(f"{path}: line {lineno + 1}: index out of range")
+                raise MatrixMarketError(f"{path}: line {lineno}: index out of range")
             m[i - 1, j - 1] = parse_value(fields[2:], lineno)
     return as_complex_matrix(m)
 

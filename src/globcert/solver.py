@@ -60,7 +60,7 @@ from .certificates import (
     eval_certificates,
     extract_restart_points,
 )
-from .chebinterp import BudgetExceeded, Completed, InterpOptions, approximate
+from .chebinterp import BudgetExceeded, Completed, approximate
 from .linalg import (
     DecompositionError,
     as_complex_matrix,
@@ -124,14 +124,15 @@ class SolveStatus(Enum):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Interpolation options, restart budget, parallelism width and centering.
+    """Restart budget, parallelism width and centering.
 
     The tolerances are module constants: ``TERM_REL``, ``RESTART_REL`` and
     ``GAMMA_GUARD`` here, ``IMAG_TOL`` and ``VERIFY_TOL`` in ``certificates``,
-    ``GRAD_TOL``, ``STEP_TOL`` and ``MAX_ITER`` in ``localopt``.
+    ``GRAD_TOL``, ``STEP_TOL`` and ``MAX_ITER`` in ``localopt``, and the
+    interpolation ladder ``TOL``, ``MIN_SAMPLES``, ``MAX_DEGREE`` and
+    ``MAX_PIECES`` in ``chebinterp``.
     """
 
-    interp: InterpOptions = InterpOptions()
     max_restarts: int = 50
     workers: int = 1
     shift_center: bool = False
@@ -369,7 +370,6 @@ class _Driver:
                 batch_eval,
                 lo,
                 hi,
-                opts=self.cfg.interp,
                 abort_on=abort_on,
                 value_key=lambda cv: cv.value,
                 zero_set_only=True,

@@ -3,12 +3,12 @@
 import numpy as np
 import pytest
 
+import globcert.chebinterp as chebinterp
 from conftest import assert_close, rng
 from globcert.chebinterp import (
     Aborted,
     BudgetExceeded,
     Completed,
-    InterpOptions,
     OutOfDomain,
     approximate,
     coeffs2vals,
@@ -215,17 +215,17 @@ def test_abort_deterministic_under_evaluation_order():
     assert outs[0].sample_count == outs[1].sample_count
 
 
-def test_min_samples_and_option_validation():
-    with pytest.raises(ValueError):
-        InterpOptions(min_samples=3)
-    with pytest.raises(ValueError):
-        InterpOptions(max_degree=1000)  # not on the 2^k + 1 ladder
-    out = approximate(batch(np.exp), -1, 1, opts=InterpOptions(min_samples=9))
+def test_min_samples_ladder(monkeypatch):
+    monkeypatch.setattr(chebinterp, "MIN_SAMPLES", 9)
+    out = approximate(batch(np.exp), -1, 1)
     assert max_err(out.interpolant, np.exp, -1, 1) <= 1e-12
 
 
-def test_budget_exceeded_carries_best_interpolant():
-    # white-noise function cannot be interpolated: budget must trip
+def test_budget_exceeded_stops_sampling(monkeypatch):
+    # white-noise function cannot be interpolated: budget must trip, and no
+    # sample is drawn after the stall that trips it
+    monkeypatch.setattr(chebinterp, "MAX_DEGREE", 65)
+    monkeypatch.setattr(chebinterp, "MAX_PIECES", 4)
     gen = rng(43)
     noise = {}
 
@@ -234,11 +234,26 @@ def test_budget_exceeded_carries_best_interpolant():
             noise[x] = float(gen.standard_normal())
         return noise[x]
 
-    opts = InterpOptions(max_degree=65, max_pieces=4)
-    with pytest.raises(BudgetExceeded) as info:
-        approximate(batch(f), -1, 1, opts=opts)
-    assert info.value.interpolant.pieces
-    assert info.value.error_estimate > 0.0
+    calls = []
+
+    def fn(xs):
+        calls.append(len(xs))
+        return batch(f)(xs)
+
+    calls_at_stall = []
+    run_ladder = chebinterp._run_ladder
+
+    def recording_ladder(*args):
+        try:
+            return run_ladder(*args)
+        except chebinterp._NeedSplit:
+            calls_at_stall.append(len(calls))
+            raise
+
+    monkeypatch.setattr(chebinterp, "_run_ladder", recording_ladder)
+    with pytest.raises(BudgetExceeded, match="MAX_PIECES"):
+        approximate(fn, -1, 1)
+    assert calls_at_stall and calls_at_stall[-1] == len(calls)
 
 
 def test_pieces_tile_domain():

@@ -51,6 +51,19 @@ def test_env_var_workers(tmp_path, monkeypatch):
     assert req.config.workers == 3
 
 
+@pytest.mark.parametrize("value", ["abc", "0", "-3"])
+def test_env_var_workers_rejects_non_counts(tmp_path, monkeypatch, capsys, value):
+    # the same rule as --workers: a bad value is a usage error naming the variable
+    monkeypatch.setenv("GLOBCERT_WORKERS", value)
+    m = tmp_path / "A.mtx"
+    write_matrix(m, np.eye(2))
+    with pytest.raises(SystemExit) as info:
+        parse_args(["kreiss-c", str(m)])
+    assert info.value.code == 1
+    assert "GLOBCERT_WORKERS" in capsys.readouterr().err
+    assert main(["kreiss-c", str(m)]) == 1
+
+
 def test_matrix_market_array_column_major(tmp_path):
     path = tmp_path / "m.mtx"
     path.write_text(
@@ -79,6 +92,20 @@ def test_matrix_market_rejects_symmetry_and_garbage(tmp_path):
     with pytest.raises(MatrixMarketError) as info:
         read_matrix(path)
     assert "line" in str(info.value)
+
+
+def test_matrix_market_errors_name_the_file_line(tmp_path):
+    path = tmp_path / "m.mtx"
+    cases = [
+        ("%%MatrixMarket matrix array real general\n2 x\n1\n2\n3\n4\n", "line 2:"),
+        ("%%MatrixMarket matrix array real general\n2 2\n1\nabc\n3\n4\n", "line 4:"),
+        ("%%MatrixMarket matrix coordinate real general\n2 2 1\n3 1 1.0\n", "line 3:"),
+    ]
+    for text, where in cases:
+        path.write_text(text)
+        with pytest.raises(MatrixMarketError) as info:
+            read_matrix(path)
+        assert where in str(info.value), (where, str(info.value))
 
 
 def test_round_trip_both_formats(tmp_path):

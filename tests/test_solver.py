@@ -5,10 +5,10 @@ import dataclasses
 import numpy as np
 import pytest
 
+import globcert.chebinterp as chebinterp
 import globcert.localopt as localopt
 import globcert.solver as solver
 from conftest import assert_close, random_complex, rng, stable_continuous
-from globcert.chebinterp import InterpOptions
 from globcert.cli import result_to_dict
 from globcert.demos import grcar, kahan
 from globcert.linalg import norm2, spectral_abscissa, spectral_radius
@@ -178,13 +178,14 @@ def test_max_restarts_caps_certification():
     assert_close(res.quantity, 2.125, rel=1e-8)
 
 
-def test_budget_exhaustion_returns_uncertified():
+def test_budget_exhaustion_returns_uncertified(monkeypatch):
     # the second certificate round on discrete Grcar(10) needs two pieces;
     # a budget of one runs out there, which used to raise BudgetExceeded out
     # of the solve
     a = grcar(10)
     a = a / (1.01 * spectral_radius(a))
-    res = kreiss_discrete(a, [1.5], SolverConfig(interp=InterpOptions(max_pieces=1)))
+    monkeypatch.setattr(chebinterp, "MAX_PIECES", 1)
+    res = kreiss_discrete(a, [1.5])
     assert res.status is SolveStatus.UNCERTIFIED
     assert np.isfinite(res.quantity) and res.quantity == 1.0 / res.gamma_final
     assert abs(res.minimizer) > 1.0
