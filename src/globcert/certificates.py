@@ -19,8 +19,9 @@ most gamma, and the recheck answers exactly that, immune to rounding in the
 eigensolve.
 
 A sample costs one eigensolve of the 2n x 2n reduced matrix plus its
-rechecks.  The nomination tolerance ``IMAG_TOL`` and the zero-eigenvalue test
-are scaled by the family's O(1) upper bound on the reduced matrix's 2-norm
+rechecks.  The nomination tolerance ``IMAG_TOL`` and the test for an
+eigenvalue at the radius floor (``NearZeroPencilEigenvalue``) are scaled by
+the family's O(1) upper bound on the reduced matrix's 2-norm
 (``PencilConstants.norm_bound``), not by a per-sample SVD: the bound is exact
 for the uncontrollability family and at least the norm for the other two, so
 it can only widen the nominated set, and every nomination is still rechecked.
@@ -85,10 +86,11 @@ VERIFY_TOL = 1e-8
 
 
 class NearZeroPencilEigenvalue(ArithmeticError):
-    """A pencil eigenvalue collapsed to numerical zero; Arg would be noise.
+    """A pencil eigenvalue sits at the radius floor; its Arg would be noise.
 
-    Upstream preconditions (0 not an eigenvalue of A, gamma kept away from
-    the singular-value collisions) make this unreachable in normal use.
+    Raised when ``|mu - r_floor|`` falls below 1e-14 times the pencil norm
+    bound, with ``mu = -i*lambda``.  The level is then degenerate at that
+    angle, and a solver lowers it and sweeps again.
     """
 
 
@@ -140,9 +142,9 @@ def _eval_chunk(kind, a, b, gamma, thetas: list[float], const) -> list[Certifica
     """Certificate values at ``thetas``, from one stacked eigensolve.
 
     Classification is whole-array work on the stack; only rows that nominate
-    radii, or whose pencil has a zero eigenvalue, are visited one by one, in
-    angle order, so the first offending angle raises, as if the angles were
-    evaluated one after another.
+    radii, or whose pencil has an eigenvalue at the radius floor, are visited
+    one by one, in angle order, so the first offending angle raises, as if
+    the angles were evaluated one after another.
     """
     t = np.array(thetas)
     try:
@@ -167,19 +169,21 @@ def _eval_chunk(kind, a, b, gamma, thetas: list[float], const) -> list[Certifica
     # min Arg(mu - r_floor)^2 over eigenvalues in the closed left half-plane,
     # pi^2 (an upper bound of every term) where there are none
     values = np.min(np.where(lam.real <= 0.0, np.angle(shifted) ** 2, PI_SQ), axis=1)
-    near_zero = np.min(np.abs(lam), axis=1) < 1e-14 * scale
+    # Arg(mu - r_floor) is noise for an eigenvalue at the radius floor
+    at_floor = np.min(np.abs(shifted), axis=1) < 1e-14 * scale
     # nominate eigenvalues close to i*[r_floor, inf) as level-set radii
     dist = np.where(mu.real >= r_floor, np.abs(mu.imag), np.abs(shifted))
     flagged = (dist <= IMAG_TOL * scale[:, None]) & (mu.real > r_floor)
 
     out = [CertificateValue(th, v) for th, v in zip(thetas, values.tolist())]
-    for i in np.flatnonzero(near_zero | flagged.any(axis=1)):
+    for i in np.flatnonzero(at_floor | flagged.any(axis=1)):
         theta = thetas[i]
-        if near_zero[i]:
+        if at_floor[i]:
             row = lam[i]
             raise NearZeroPencilEigenvalue(
-                f"pencil eigenvalue at {row[np.argmin(np.abs(row))]!r} is numerically "
-                f"zero relative to the pencil norm bound {scales[i]!r} at theta={theta!r}"
+                f"pencil eigenvalue at {row[np.argmin(np.abs(shifted[i]))]!r} meets the "
+                f"radius floor {r_floor!r} relative to the pencil norm bound {scales[i]!r} "
+                f"at theta={theta!r}"
             )
         candidates: list[CandidatePoint] = []
         for r in np.sort(mu[i, flagged[i]].real).tolist():
@@ -269,8 +273,7 @@ def extract_restart_points(cv: CertificateValue) -> list[tuple[complex, float]]:
     """Accepted candidates as Cartesian restart points for local optimization.
 
     Sorted ascending by verified objective value, ties by radius.  Raises
-    NoAcceptedCandidates when every nomination failed its recheck, signalling
-    the caller to treat the angle as a nonzero of the certificate.
+    NoAcceptedCandidates when every nomination failed its recheck.
     """
     if cv.value != 0.0:
         raise ValueError("extract_restart_points requires a zero certificate value")

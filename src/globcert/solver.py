@@ -25,8 +25,14 @@ angle, and elsewhere to 1e-2 of each piece's smallest sample.  Where the
 certificate dips between samples the interpolant may dip below 0; the
 minimizer and midpoint checks evaluate the true certificate there.
 
-A round whose interpolation exhausts its degree and piece budgets ends the
-solve as ``Uncertified``, with the best gamma and minimizer found so far.
+The estimate gamma changes only when a descent attains a lower value
+(``_adopt``), so it is always the objective at the reported minimizer.  A certificate level
+where the pencil family degenerates at a sampled angle (a singular second
+member, or an eigenvalue at the radius floor) has one remedy: the round
+lowers its level by ``10 * GAMMA_GUARD`` relative and sweeps again, leaving
+gamma as it is.  A round whose six levels all degenerate, or whose
+interpolation exhausts its degree and piece budgets, ends the solve as
+``Uncertified``, with the best gamma and minimizer found so far.
 
 Local optimization from several points (the starts, or every point that a
 batch of certificate zeros nominates) is a race.  Each round advances every
@@ -56,6 +62,7 @@ import numpy as np
 
 from .certificates import (
     CertificateValue,
+    NearZeroPencilEigenvalue,
     chunk_length,
     eval_certificates,
     extract_restart_points,
@@ -82,7 +89,6 @@ from .pencils import (
     PencilConstants,
     PencilKind,
     pencil_constants,
-    sigma_f,
 )
 
 __all__ = [
@@ -117,7 +123,7 @@ GAMMA_GUARD = 1e-14
 class SolveStatus(Enum):
     CONVERGED = "Converged"
     MAX_RESTARTS = "MaxRestarts"
-    UNCERTIFIED = "Uncertified"  # a certificate round ran out of interpolation budget
+    UNCERTIFIED = "Uncertified"  # a round ran out of interpolation budget or of levels
     TRIVIAL_NORMAL = "TrivialNormal"
     UNSTABLE_INFINITE = "UnstableInfinite"
 
@@ -271,21 +277,8 @@ class _Driver:
 
     # -- certificate rounds ------------------------------------------------
 
-    def _pre_round_gamma_guard(self):
-        """Keep gamma away from levels where the pencil family degenerates."""
-        if self.kind is PencilKind.KREISS_DISCRETE:
-            lam = np.linalg.eigvalsh(self.a @ self.a.conj().T)
-            scale = max(norm2(self.a) ** 2, np.finfo(float).tiny)
-            if np.min(np.abs(self.gamma**2 - lam)) <= 1e-12 * scale:
-                self.gamma *= 1.0 - 10.0 * GAMMA_GUARD
-        elif self.kind is PencilKind.DIST_UNCONTROLLABLE:
-            f0 = sigma_f(self.a, self.b, 0.0, 0.0)
-            if self.gamma >= f0 * (1.0 - 1e-12):
-                self.gamma = f0 * (1.0 - 10.0 * GAMMA_GUARD)
-
     def _certificate_round(self) -> str:
         """One full certificate round; returns 'restart', 'converged' or 'uncertified'."""
-        self._pre_round_gamma_guard()
         gamma_round = self.gamma
         full_circle = (self.domain[1] - self.domain[0]) > 1.5 * np.pi  # (-pi, pi] sweep
         cache: dict[float, CertificateValue] = {}
@@ -346,20 +339,20 @@ class _Driver:
                 verdict = self._round_body(
                     batch_eval, abort_on, consumed, stage, full_circle
                 )
-            except BudgetExceeded:
-                verdict = "uncertified"
-            except NearSingularSecondMember:
-                # a sample landed on the degenerate level: perturb and retry
+            except (NearSingularSecondMember, NearZeroPencilEigenvalue):
+                # the level is degenerate at a sampled angle: lower the level
+                # alone and sweep again; gamma keeps the best attained value
                 gamma_round *= 1.0 - 10.0 * GAMMA_GUARD
-                self.gamma = min(self.gamma, gamma_round)
                 cache.clear()
                 consumed.clear()
                 continue
-            self.samples_per_round.append(n_new[0])
-            return verdict
-        raise NearSingularSecondMember(
-            "could not perturb gamma away from the singular second member"
-        )
+            except BudgetExceeded:
+                verdict = "uncertified"
+            break
+        else:
+            verdict = "uncertified"  # every level tried was degenerate
+        self.samples_per_round.append(n_new[0])
+        return verdict
 
     def _round_body(self, batch_eval, abort_on, consumed, stage, full_circle) -> str:
         lo, hi = self.domain

@@ -65,10 +65,10 @@ def _reference_certificate(kind, a, b, gamma, theta, const):
     """(value, candidates as field tuples, merges) at one angle."""
     lam = np.linalg.eigvals(_reference_matrix(kind, a, b, gamma, theta))
     scale = max(const.norm_bound(theta), np.finfo(float).tiny)
-    if np.min(np.abs(lam)) < 1e-14 * scale:
-        raise NearZeroPencilEigenvalue(f"zero pencil eigenvalue at theta={theta!r}")
     r_floor = 1.0 if kind is KD else 0.0
     mu = lam / 1j
+    if np.min(np.abs(mu - r_floor)) < 1e-14 * scale:
+        raise NearZeroPencilEigenvalue(f"pencil eigenvalue at the radius floor at theta={theta!r}")
     relevant = mu[lam.real <= 0.0]
     value = PI_SQ if relevant.size == 0 else float(np.min(np.angle(relevant - r_floor) ** 2))
     tol = certificates.IMAG_TOL * scale

@@ -153,6 +153,17 @@ def test_h_near_unimodular_eigenvalue_stays_positive():
     assert not any(c.accepted and c.r <= 1.0 for c in cv.candidates)
 
 
+def test_h_at_a_singular_value_of_a_reads_a_value():
+    # at gamma = sigma_i(A) the pencil has an eigenvalue at mu = 0, below the
+    # radius floor 1; measured from mu = 0 that raised NearZeroPencilEigenvalue
+    a = np.array([[0.5, 0.3], [0.0, 0.2]])
+    for sigma in np.linalg.svd(a, compute_uv=False):
+        at = eval_h(a, float(sigma), 0.3).value
+        below = eval_h(a, float(sigma) * (1.0 - 1e-9), 0.3).value
+        assert 0.0 <= at <= PI_SQ
+        assert abs(at - below) <= 1e-8
+
+
 def test_extract_restart_points_contract():
     mk = lambda r, v, acc, th=0.0: CandidatePoint(r=r, theta=th, verified_value=v, accepted=acc)
     cv = CertificateValue(theta=0.0, value=0.0, candidates=(mk(1.0, 2.0, True), mk(2.0, 1.5, True)))

@@ -113,6 +113,22 @@ def test_roots_of_sin():
         assert abs(r - e) <= 1e-10
 
 
+def test_roots_of_a_high_degree_piece():
+    # the pole at +-i/5 slows the coefficient decay enough that one piece
+    # needs more than 129 coefficients, so its roots are bracketed on the
+    # oversampled grid rather than found by subdivision
+    f = lambda x: np.sin(30.0 * x) / (1.0 + 25.0 * x * x)
+    interp = approximate(batch(f), -1, 1).interpolant
+    assert max(len(p.coeffs) for p in interp.pieces) > 129
+    expect = np.pi / 30.0 * np.arange(-9, 10)
+    roots = interp.roots()
+    assert len(roots) == len(expect)
+    assert np.max(np.abs(roots - expect)) <= 1e-10
+    xs = np.linspace(-1, 1, 41)
+    assert np.array_equal(interp(xs), [interp.evaluate(float(x)) for x in xs])
+    assert interp(0.3) == interp.evaluate(0.3)
+
+
 def test_roots_none_and_double():
     out = approximate(batch(lambda x: x * x + 1.0), -1, 1)
     assert len(out.interpolant.roots()) == 0

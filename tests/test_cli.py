@@ -37,10 +37,24 @@ def test_parse_args_dtu_flags(tmp_path):
     assert req.config.workers == 8
 
 
-def test_parse_args_infeasible_discrete_start():
+def test_parse_args_infeasible_discrete_start(tmp_path, capsys):
+    m = tmp_path / "A.mtx"
+    write_matrix(m, np.diag([0.5, 0.2]))
     with pytest.raises(SystemExit) as info:
-        parse_args(["kreiss-d", "A.mtx", "--start", "0.5"])
+        parse_args(["kreiss-d", str(m), "--start", "0.5"])
     assert info.value.code == 1
+    err = capsys.readouterr().err
+    assert "globcert kreiss-d: error: --start (0.5+0j) is infeasible (|z| <= 1)" in err
+
+
+def test_parse_args_infeasible_continuous_start(tmp_path, capsys):
+    m = tmp_path / "A.mtx"
+    write_matrix(m, np.diag([-1.0, -2.0]))
+    with pytest.raises(SystemExit) as info:
+        parse_args(["kreiss-c", str(m), "--start=-1+1i"])
+    assert info.value.code == 1
+    err = capsys.readouterr().err
+    assert "globcert kreiss-c: error: --start (-1+1j) is infeasible (Re z <= 0)" in err
 
 
 def test_env_var_workers(tmp_path, monkeypatch):
@@ -185,7 +199,7 @@ def test_cli_exit_codes(tmp_path):
     write_matrix(a_path, np.array([[0.5, 1.0], [0.0, 0.2]]))  # unstable
     assert main(["kreiss-c", str(a_path)]) == 2
     assert main(["kreiss-c", str(tmp_path / "missing.mtx")]) == 1
-    assert main(["kreiss-d", "whatever.mtx", "--start", "0.5"]) == 1
+    assert main(["kreiss-d", str(a_path), "--start", "0.5"]) == 1
 
 
 @pytest.mark.parametrize(
@@ -226,6 +240,39 @@ def test_cli_trivial_normal_and_verify(tmp_path, capsys):
     assert main(["verify", "dtu", str(a1), str(b_path), "--expect", "1.0"]) == 0
     out = capsys.readouterr().out
     assert "oracle dtu" in out
+
+
+def test_cli_dtu_solve(tmp_path, capsys):
+    a_path, b_path = tmp_path / "A.mtx", tmp_path / "B.mtx"
+    write_matrix(a_path, np.array([[2.0]]))
+    write_matrix(b_path, np.array([[1.0]]))
+    json_path = tmp_path / "out.json"
+    assert main(["dtu", str(a_path), str(b_path), "--start", "3", "--workers", "1",
+                 "--json", str(json_path)]) == 0
+    assert "tau(A,B) = " in capsys.readouterr().out
+    data = json.loads(json_path.read_text())
+    assert data["status"] == "Converged"
+    assert abs(data["quantity"] - 1.0) <= 1e-10
+
+
+@pytest.mark.parametrize("target", ["kreiss-c", "kreiss-d"])
+def test_cli_verify_kreiss(tmp_path, capsys, target):
+    a_path = tmp_path / "A.mtx"
+    a = [[-0.5, 5.0], [0.0, -0.5]] if target == "kreiss-c" else [[0.9, 0.8], [0.0, 0.5]]
+    write_matrix(a_path, np.array(a))
+    assert main(["verify", target, str(a_path), "--resolution", "60", "--expect", "2.0"]) == 0
+    out = capsys.readouterr().out
+    assert f"oracle {target}: quantity = " in out
+    assert "relative difference vs --expect: " in out
+
+
+def test_cli_reports_solver_errors(tmp_path, capsys):
+    # a zero eigenvalue is a continuous-time input the solver rejects
+    a_path = tmp_path / "A.mtx"
+    write_matrix(a_path, np.array([[0.0, 1.0], [0.0, -1.0]]))
+    assert main(["kreiss-c", str(a_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("globcert: error: ") and "zero eigenvalue" in err
 
 
 def test_console_script_help():

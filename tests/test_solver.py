@@ -9,12 +9,13 @@ import globcert.chebinterp as chebinterp
 import globcert.localopt as localopt
 import globcert.solver as solver
 from conftest import assert_close, random_complex, rng, stable_continuous
+from globcert.certificates import NearZeroPencilEigenvalue
 from globcert.cli import result_to_dict
 from globcert.demos import grcar, kahan
 from globcert.linalg import norm2, spectral_abscissa, spectral_radius
 from globcert.localopt import InfeasibleStart, Objective, minimize, objective_value_grad
 from globcert.oracle import GridSpec, grid_min
-from globcert.pencils import PencilKind
+from globcert.pencils import NearSingularSecondMember, PencilKind
 from globcert.solver import (
     SolveStatus,
     SolverConfig,
@@ -73,9 +74,9 @@ def test_continuous_matches_oracle():
     obj = Objective(PencilKind.KREISS_CONTINUOUS, a)
     _, v = grid_min(obj, GridSpec((1e-3, 6.0, -6.0, 6.0), 200, 200))
     assert_close(res.quantity, 1.0 / v, rel=1e-8)
-    # upper-bound soundness: objective at minimizer equals gamma_final
+    # upper-bound soundness: gamma_final is the objective at the minimizer
     val, _, _ = objective_value_grad(obj, res.minimizer)
-    assert_close(val, res.gamma_final, rel=1e-12)
+    assert val == res.gamma_final
 
 
 def test_discrete_matches_oracle():
@@ -84,6 +85,7 @@ def test_discrete_matches_oracle():
     obj = Objective(PencilKind.KREISS_DISCRETE, a)
     _, v = grid_min(obj, GridSpec((1 + 1e-9, 8.0, -np.pi, np.pi), 300, 300, polar=True))
     assert_close(res.quantity, 1.0 / v, rel=1e-8)
+    assert objective_value_grad(obj, res.minimizer)[0] == res.gamma_final
 
 
 def test_dtu_scalar_closed_form():
@@ -91,6 +93,18 @@ def test_dtu_scalar_closed_form():
     assert res.status is SolveStatus.CONVERGED
     assert_close(res.quantity, 1.0, rel=1e-10)
     assert_close(res.minimizer.real, 2.0, rel=1e-8)
+    obj = Objective(PencilKind.DIST_UNCONTROLLABLE, np.array([[2.0 + 0j]]), np.array([[1.0 + 0j]]))
+    assert objective_value_grad(obj, res.minimizer)[0] == res.gamma_final
+
+
+def test_dtu_minimum_at_the_origin_is_reported_as_attained():
+    # sigma_min([A - z, B]) = sqrt(|z|^2 + 1) is minimal at the origin, where
+    # it is exactly 1; a guard used to report gamma = 1 - 1e-13 instead
+    res = dtu([[0.0]], [[1.0]], [])
+    assert res.status is SolveStatus.CONVERGED
+    assert res.minimizer == 0j
+    obj = Objective(PencilKind.DIST_UNCONTROLLABLE, np.zeros((1, 1), complex), np.ones((1, 1), complex))
+    assert res.quantity == res.gamma_final == objective_value_grad(obj, 0j)[0] == 1.0
 
 
 def test_dtu_uncontrollable_pair():
@@ -114,6 +128,7 @@ def test_restart_forced_discrete_two_basin():
     obj = Objective(PencilKind.KREISS_DISCRETE, a)
     _, v = grid_min(obj, GridSpec((1 + 1e-9, 6.0, -np.pi, np.pi), 300, 300, polar=True))
     assert_close(res.quantity, 1.0 / v, rel=1e-8)
+    assert objective_value_grad(obj, res.minimizer)[0] == res.gamma_final
     # monotone gamma across restart records
     gammas = [res.restarts[0].gamma_before] + [r.gamma_after for r in res.restarts]
     assert all(g2 < g1 for g1, g2 in zip(gammas, gammas[1:]))
@@ -131,6 +146,7 @@ def test_restart_forced_dtu_two_basin_internal():
     ).run()
     assert len(drv.restarts) >= 1
     assert_close(drv.gamma, 0.9682458365518539, rel=1e-8)
+    assert objective_value_grad(drv.obj, drv.zstar)[0] == drv.gamma
     # public API with the same bad start still lands on the global value
     res = dtu(a, b, [3.0])
     assert_close(res.quantity, 0.9682458365518539, rel=1e-8)
@@ -190,9 +206,49 @@ def test_budget_exhaustion_returns_uncertified(monkeypatch):
     assert np.isfinite(res.quantity) and res.quantity == 1.0 / res.gamma_final
     assert abs(res.minimizer) > 1.0
     obj = Objective(PencilKind.KREISS_DISCRETE, a)
-    assert_close(objective_value_grad(obj, res.minimizer)[0], res.gamma_final, rel=1e-12)
+    assert objective_value_grad(obj, res.minimizer)[0] == res.gamma_final
     assert len(res.certificate_samples) == 2 and res.certificate_samples[-1] > 0
     assert sum(res.certificate_samples) == len(res.trace)
+
+
+_DEGENERATE_LEVEL_ERRORS = [NearSingularSecondMember, NearZeroPencilEigenvalue]
+
+
+@pytest.mark.parametrize("error", _DEGENERATE_LEVEL_ERRORS)
+def test_one_degenerate_level_retry_leaves_the_answer_unchanged(monkeypatch, error):
+    # a retry lowers the certificate level only; lowering gamma as well used
+    # to report K = 2.600000000000261, a value no point attains
+    a = np.array([[-0.5, 5.0], [0.0, -0.5]])
+    real = solver.eval_certificates
+    calls = [0]
+
+    def once(*args):
+        calls[0] += 1
+        if calls[0] == 1:
+            raise error("injected at theta=0.0")
+        return real(*args)
+
+    monkeypatch.setattr(solver, "eval_certificates", once)
+    res = kreiss_continuous(a, [1 + 1j])
+    assert calls[0] > 1
+    assert res.status is SolveStatus.CONVERGED
+    assert res.quantity == 2.600000000000001
+    obj = Objective(PencilKind.KREISS_CONTINUOUS, a)
+    assert objective_value_grad(obj, res.minimizer)[0] == res.gamma_final
+
+
+@pytest.mark.parametrize("error", _DEGENERATE_LEVEL_ERRORS)
+def test_spent_degenerate_level_retries_end_uncertified(monkeypatch, error):
+    def always(*args):
+        raise error("injected at theta=0.0")
+
+    monkeypatch.setattr(solver, "eval_certificates", always)
+    a = np.array([[-0.5, 5.0], [0.0, -0.5]])
+    res = kreiss_continuous(a, [1 + 1j])
+    assert res.status is SolveStatus.UNCERTIFIED
+    start = minimize(Objective(PencilKind.KREISS_CONTINUOUS, a), 1 + 1j)
+    assert (res.gamma_final, res.minimizer) == (start.value, start.z)
+    assert res.certificate_samples == (0,) and res.trace == ()
 
 
 def test_discrete_grcar20_converges():
