@@ -10,6 +10,7 @@ Uncertified (a best estimate, not certified) or any error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -64,6 +65,19 @@ def _parse_complex(text: str) -> complex:
         raise argparse.ArgumentTypeError(f"invalid complex number {text!r}") from None
 
 
+def _attach_start_values(argv) -> list[str]:
+    # argparse reads a value such as -1-1i as an option flag, so it would
+    # leave "--start -1-1i" without a value; "--start=-1-1i" parses
+    out: list[str] = []
+    for tok in argv:
+        out.append(tok)
+        if out[-2:-1] == ["--start"]:
+            with contextlib.suppress(argparse.ArgumentTypeError):
+                _parse_complex(tok)
+                out[-2:] = ["--start=" + tok]
+    return out
+
+
 def _count(text: str) -> int:
     # a worker count or restart budget: an integer of at least 1
     try:
@@ -111,11 +125,6 @@ def _build_parser() -> _Parser:
 
     pc = sub.add_parser("kreiss-c", help="continuous-time Kreiss constant")
     _add_common(pc)
-    pc.add_argument(
-        "--shift-center",
-        action="store_true",
-        help="recenter the sweep at the mean imaginary part of the spectrum",
-    )
 
     pd = sub.add_parser("kreiss-d", help="discrete-time Kreiss constant")
     _add_common(pd)
@@ -135,7 +144,7 @@ def _build_parser() -> _Parser:
 
 def parse_args(argv) -> RunRequest:
     """Parse and validate ``argv`` (excluding the program name)."""
-    ns = _build_parser().parse_args(argv)
+    ns = _build_parser().parse_args(_attach_start_values(argv))
     for path in (ns.matrix, getattr(ns, "b_matrix", None)):
         if path is not None and not os.path.isfile(path):
             print(f"globcert {ns.command}: error: matrix file {path!r} not found", file=sys.stderr)
@@ -177,7 +186,6 @@ def parse_args(argv) -> RunRequest:
     cfg = SolverConfig(
         max_restarts=ns.max_restarts,
         workers=ns.workers if ns.workers is not None else _default_workers(ns.command),
-        shift_center=getattr(ns, "shift_center", False),
     )
     return RunRequest(
         command=ns.command,

@@ -50,7 +50,6 @@ terminate on it), and unstable matrices have an infinite bound.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -74,7 +73,6 @@ from .linalg import (
     eigenvalues,
     is_normal,
     norm2,
-    spectral_abscissa,
     spectral_radius,
 )
 from .localopt import (
@@ -107,9 +105,8 @@ __all__ = [
 class ZeroEigenvalue(ValueError):
     """Continuous-time input has a (numerically) zero eigenvalue.
 
-    The certificate construction assumes the origin is not in the spectrum;
-    shifting the search center is not certified to restore its properties,
-    so this is reported instead of guessed around.
+    The certificate sweeps rays from the origin and assumes the origin is
+    not in the spectrum, so this is reported instead of guessed around.
     """
 
 
@@ -130,7 +127,7 @@ class SolveStatus(Enum):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Restart budget, parallelism width and centering.
+    """Restart budget and parallelism width.
 
     The tolerances are module constants: ``TERM_REL``, ``RESTART_REL`` and
     ``GAMMA_GUARD`` here, ``IMAG_TOL`` and ``VERIFY_TOL`` in ``certificates``,
@@ -141,7 +138,6 @@ class SolverConfig:
 
     max_restarts: int = 50
     workers: int = 1
-    shift_center: bool = False
 
     def __post_init__(self):
         if self.max_restarts < 1 or self.workers < 1:
@@ -487,32 +483,21 @@ def kreiss_continuous(a, starts, cfg: SolverConfig = SolverConfig()) -> SolveRes
     t0 = time.perf_counter()
     a = as_complex_matrix(a)
     scale = max(norm2(a), np.finfo(float).tiny)
-    alpha = spectral_abscissa(a)
-    if alpha > 1e-12 * scale:
+    lam = eigenvalues(a)
+    if float(np.max(lam.real)) > 1e-12 * scale:
         return _trivial(SolveStatus.UNSTABLE_INFINITE, np.inf, 0.0, t0)
     if is_normal(a):
         return _trivial(SolveStatus.TRIVIAL_NORMAL, 1.0, 1.0, t0)
-    if np.min(np.abs(eigenvalues(a))) <= 1e-12 * scale:
+    if np.min(np.abs(lam)) <= 1e-12 * scale:
         raise ZeroEigenvalue("A has a numerically zero eigenvalue")
     if not starts:
         raise ValueError("at least one starting point is required")
     for z in starts:
         if not complex(z).real > 0.0:
             raise InfeasibleStart(f"continuous-time start {z!r} must have Re z > 0")
-
-    shift = 0.0
-    work = a
-    if cfg.shift_center:
-        shift = float(np.mean(eigenvalues(a).imag))
-        work = a - 1j * shift * np.eye(a.shape[0])
-    starts = [complex(z) - 1j * shift for z in starts]
-
-    domain = (0.0, np.pi / 2) if _is_real(work) else (-np.pi / 2, np.pi / 2)
-    driver = _Driver(PencilKind.KREISS_CONTINUOUS, work, None, starts, cfg, domain).run()
-    result = _finish(driver, lambda g: 1.0 / g, t0)
-    if shift != 0.0 and result.minimizer is not None:
-        result = dataclasses.replace(result, minimizer=result.minimizer + 1j * shift)
-    return result
+    domain = (0.0, np.pi / 2) if _is_real(a) else (-np.pi / 2, np.pi / 2)
+    driver = _Driver(PencilKind.KREISS_CONTINUOUS, a, None, starts, cfg, domain).run()
+    return _finish(driver, lambda g: 1.0 / g, t0)
 
 
 def kreiss_discrete(a, starts, cfg: SolverConfig = SolverConfig()) -> SolveResult:

@@ -272,6 +272,35 @@ def test_budget_exceeded_stops_sampling(monkeypatch):
     assert calls_at_stall and calls_at_stall[-1] == len(calls)
 
 
+# One case per give-up exit of the ladder, each a feature at 0.3 that no
+# piece resolves to TOL: a stalled tail within the 50 * TOL contract (square
+# root), a noise-limited plateau (cube root), a piece at the width floor
+# (jump), and a tail within the contract at MAX_DEGREE (|x|^1.5 on a short
+# ladder).  Without its exit a case splits further, costs several times the
+# samples or raises BudgetExceeded; the bounds sit just above the counts
+# with every exit in place.
+@pytest.mark.parametrize(
+    "f, max_degree, max_pieces, max_samples",
+    [
+        (lambda x: np.sqrt(abs(x - 0.3)), chebinterp.MAX_DEGREE, 40, 6_400),
+        (lambda x: np.cbrt(x - 0.3), chebinterp.MAX_DEGREE, 40, 7_000),
+        (lambda x: float(x >= 0.3), chebinterp.MAX_DEGREE, 20, 2_000),
+        (lambda x: abs(x - 0.3) ** 1.5, 65, 9, 1_200),
+    ],
+    ids=["sqrt-stall", "cbrt-noise-limited", "jump-width-floor", "pow1.5-max-degree"],
+)
+def test_give_up_exits_keep_unresolved_features(monkeypatch, f, max_degree, max_pieces, max_samples):
+    monkeypatch.setattr(chebinterp, "MAX_DEGREE", max_degree)
+    out = approximate(batch(f), -1, 1)
+    assert isinstance(out, Completed)
+    p = out.interpolant
+    assert len(p.pieces) <= max_pieces
+    assert out.sample_count <= max_samples
+    xs = [float(x) for x in np.linspace(-1, 1, 2001) if abs(x - 0.3) > 0.01]
+    scale = max(abs(f(x)) for x in xs)
+    assert max(abs(p.evaluate(x) - f(x)) for x in xs) <= 50 * chebinterp.TOL * scale
+
+
 def test_pieces_tile_domain():
     out = approximate(batch(lambda x: abs(np.sin(3 * x)) ), -4, 4)
     p = out.interpolant

@@ -57,6 +57,38 @@ def test_parse_args_infeasible_continuous_start(tmp_path, capsys):
     assert "globcert kreiss-c: error: --start (-1+1j) is infeasible (Re z <= 0)" in err
 
 
+@pytest.mark.parametrize("command, start", [("kreiss-d", "-1-1i"), ("dtu", "-2-1i")])
+def test_cli_negative_start_spellings(tmp_path, capsys, command, start):
+    # argparse would read "-1-1i" as a flag; both spellings must solve alike
+    a_path, b_path = tmp_path / "A.mtx", tmp_path / "B.mtx"
+    write_matrix(a_path, np.array([[0.9, 0.8], [0.0, 0.5]] if command == "kreiss-d" else [[2.0]]))
+    write_matrix(b_path, np.array([[1.0]]))
+    paths = [str(a_path)] + ([str(b_path)] if command == "dtu" else [])
+    results = []
+    for spelling in (["--start", start], [f"--start={start}"]):
+        assert parse_args([command, *paths, *spelling]).starts == (complex(start.replace("i", "j")),)
+        json_path = tmp_path / "out.json"
+        assert main([command, *paths, *spelling, "--workers", "1", "--json", str(json_path)]) == 0
+        data = json.loads(json_path.read_text())
+        del data["wall_time_s"]
+        results.append(data)
+    assert results[0] == results[1]
+    assert results[0]["status"] == "Converged"
+    if command == "kreiss-d":
+        assert results[0]["quantity"] == 1.1180339887498951
+    capsys.readouterr()
+    # a flag after --start is still not its value
+    assert main([command, *paths, "--start", "--workers", "1"]) == 1
+    assert "argument --start: expected one argument" in capsys.readouterr().err
+
+
+def test_cli_has_no_shift_center(tmp_path, capsys):
+    a_path = tmp_path / "A.mtx"
+    write_matrix(a_path, np.array([[-0.5, 5.0], [0.0, -0.5]]))
+    assert main(["kreiss-c", str(a_path), "--shift-center"]) == 1
+    assert "unrecognized arguments: --shift-center" in capsys.readouterr().err
+
+
 def test_env_var_workers(tmp_path, monkeypatch):
     monkeypatch.setenv("GLOBCERT_WORKERS", "3")
     m = tmp_path / "A.mtx"

@@ -416,11 +416,22 @@ def test_dtu_hermitian_symmetry_reduction():
 
 
 def test_shift_center_invariance():
+    # a shift along the imaginary axis maps the right half-plane onto
+    # itself: K(A - iyI), solved from the start shifted by -iy, is K(A).
+    # The random instance has K = 1 (approached as |z| grows); the 2x2 one
+    # has K = 2.6 at z = 13/24, which the shift moves to 13/24 - iy
     gen = rng(62)
     a = stable_continuous(gen, 4)
-    res0 = kreiss_continuous(a, [1 + 1j])
-    res1 = kreiss_continuous(a, [1 + 1j], SolverConfig(shift_center=True))
-    assert_close(res1.quantity, res0.quantity, rel=1e-9)
+    cases = [(a, float(np.mean(np.linalg.eigvals(a).imag))),
+             (np.array([[-0.5, 5.0], [0.0, -0.5]]), 0.7)]
+    for m, y in cases:
+        assert abs(y) > 0.1
+        res0 = kreiss_continuous(m, [1 + 1j])
+        res1 = kreiss_continuous(m - 1j * y * np.eye(len(m)), [1 + 1j - 1j * y])
+        assert res0.status is res1.status is SolveStatus.CONVERGED
+        assert_close(res1.quantity, res0.quantity, rel=1e-9)
+    assert_close(res1.quantity, 2.6, rel=1e-12)
+    assert abs(res1.minimizer - (13 / 24 - 0.7j)) <= 1e-8
 
 
 def test_random_instances_match_oracle_spot():
