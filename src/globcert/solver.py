@@ -3,20 +3,22 @@
 Each driver alternates two phases.  Local optimization lowers the current
 estimate ``gamma`` of the target quantity.  A certificate round then sweeps
 the angular domain, adaptively interpolating the certificate function
-evaluated at the safeguarded level ``gamma * (1 - GAMMA_GUARD)``: any sampled
-zero nominates level-set points, and optimization restarts from all of them
-when it improves gamma by at least ``RESTART_REL`` relative.  A restart that
-improves gamma by less than ``TERM_REL`` relative (including not at all)
-marks the zeros as numerically stationary and ends the round as converged,
-without sweeping the rest of the domain; ROADMAP item 1 tracks making such
-zeros be consumed instead.  Zeros whose restarts improve gamma by an amount
-between the two thresholds are consumed and sampling continues; a sampled
-zero always has an accepted nomination, since a nomination that fails its
-recheck does not zero the certificate.  Once an interpolant completes without
-unconsumed zeros, the true certificate is re-evaluated at the interpolant's
-global minimizers and then at midpoints of consecutive interpolant roots;
-only when those checks also come back empty does the driver declare
-convergence.
+evaluated at the safeguarded level ``gamma * (1 - GAMMA_GUARD)``, and
+re-evaluates the true certificate at the completed interpolant's global
+minimizers and then at midpoints of consecutive interpolant roots.
+
+Each zero is assessed once, in the batch that first samples it, whatever the
+stage: the batch's zeros nominate level-set points, and optimization
+restarts from all of them (a sampled zero always has an accepted nomination,
+since a nomination that fails its recheck does not zero the certificate).
+A restart that improves gamma by at least ``RESTART_REL`` relative ends the
+round, and the next round certifies the new gamma.  A restart that improves
+gamma by less than ``TERM_REL`` relative (including not at all) marks the
+zeros as numerically stationary and ends the round as converged, without
+sweeping the rest of the domain; ROADMAP item 1 tracks making such zeros be
+consumed instead.  Zeros whose restarts improve gamma by an amount between
+the two thresholds are consumed and sampling continues.  A round that
+completes the sweep and both checks this way declares convergence.
 
 The certificate is nonnegative and only its zero set matters, so the
 interpolant is built with ``approximate(..., zero_set_only=True)``: it is
@@ -66,7 +68,7 @@ from .certificates import (
     eval_certificates,
     extract_restart_points,
 )
-from .chebinterp import BudgetExceeded, Completed, approximate
+from .chebinterp import BudgetExceeded, approximate
 from .linalg import (
     DecompositionError,
     as_complex_matrix,
@@ -176,12 +178,21 @@ class SolveResult:
     wall_time_s: float = 0.0
 
 
-def _pmap(fn, items, workers: int) -> list:
+def _pmap(fn, items, pool: Optional[ThreadPoolExecutor]) -> list:
     items = list(items)
-    if workers <= 1 or len(items) <= 1:
+    if pool is None or len(items) <= 1:
         return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as ex:
-        return list(ex.map(fn, items))
+    return list(pool.map(fn, items))
+
+
+class _RoundEnd(Exception):
+    """Newly sampled zeros restarted optimization or showed it stationary."""
+
+    def __init__(self, verdict: str):
+        self.verdict = verdict  # 'restart' or 'converged'
+
+
+_TRIGGERS = {"probe": "Probe", "final-min": "FinalMinCheck", "root-midpoint": "RootMidpointCheck"}
 
 
 def _is_real(m: np.ndarray) -> bool:
@@ -213,6 +224,7 @@ class _Driver:
         self.round = 0
         self.status = SolveStatus.CONVERGED
         self.const: Optional[PencilConstants] = None  # of the latest certificate level
+        self.pool: Optional[ThreadPoolExecutor] = None  # while run() runs with workers > 1
 
     # -- optimization ------------------------------------------------------
 
@@ -247,7 +259,7 @@ class _Driver:
         active = list(range(len(runs)))
         while active:
             running = []
-            for i, (done, res) in zip(active, _pmap(step, active, self.cfg.workers)):
+            for i, (done, res) in zip(active, _pmap(step, active, self.pool)):
                 if done:
                     ended[i] = res
                 else:
@@ -276,11 +288,8 @@ class _Driver:
     def _certificate_round(self) -> str:
         """One full certificate round; returns 'restart', 'converged' or 'uncertified'."""
         gamma_round = self.gamma
-        full_circle = (self.domain[1] - self.domain[0]) > 1.5 * np.pi  # (-pi, pi] sweep
         cache: dict[float, CertificateValue] = {}
-        consumed: set[float] = set()
-        stage = ["probe"]
-        n_new = [0]
+        self.samples_per_round.append(0)
 
         for _attempt in range(6):
             gamma_cert = gamma_round * (1.0 - GAMMA_GUARD)
@@ -295,7 +304,7 @@ class _Driver:
                 if abs(gamma_cert - 1.0) <= 1e-6:
                     gamma_cert = 1.0 - 1e-6
 
-            def batch_eval(thetas) -> list[CertificateValue]:
+            def batch_eval(thetas, stage="probe") -> list[CertificateValue]:
                 thetas = [float(t) for t in np.atleast_1d(thetas)]
                 missing = list(dict.fromkeys(t for t in thetas if t not in cache))
 
@@ -309,10 +318,9 @@ class _Driver:
                 workers = self.cfg.workers
                 step = max(1, min(chunk_length(self.a.shape[0]), -(-len(missing) // workers)))
                 chunks = [missing[i : i + step] for i in range(0, len(missing), step)]
-                cvs = itertools.chain.from_iterable(_pmap(chunk, chunks, workers))
+                cvs = list(itertools.chain.from_iterable(_pmap(chunk, chunks, self.pool)))
                 for t, cv in zip(missing, cvs):
                     cache[t] = cv
-                    n_new[0] += 1
                     self.trace.append(
                         TraceRecord(
                             round=self.round,
@@ -320,112 +328,87 @@ class _Driver:
                             theta=t,
                             value=cv.value,
                             n_candidates=len(cv.candidates),
-                            stage=stage[0],
+                            stage=stage,
                         )
                     )
+                self.samples_per_round[-1] += len(missing)
+                # each zero is assessed once, by the batch that first samples it
+                zeros = [cv for cv in cvs if cv.is_zero]
+                if zeros:
+                    self._assess_zeros(zeros, _TRIGGERS[stage])
                 return [cache[t] for t in thetas]
-
-            def abort_on(cv: CertificateValue) -> bool:
-                return cv.is_zero and cv.theta not in consumed
 
             try:
                 self.const = pencil_constants(
                     self.kind, self.a, self.b, gamma_cert, base=self.const
                 )
-                verdict = self._round_body(
-                    batch_eval, abort_on, consumed, stage, full_circle
-                )
+                return self._round_body(batch_eval)
             except (NearSingularSecondMember, NearZeroPencilEigenvalue):
                 # the level is degenerate at a sampled angle: lower the level
                 # alone and sweep again; gamma keeps the best attained value
                 gamma_round *= 1.0 - 10.0 * GAMMA_GUARD
                 cache.clear()
-                consumed.clear()
-                continue
+            except _RoundEnd as end:
+                return end.verdict
             except BudgetExceeded:
-                verdict = "uncertified"
-            break
-        else:
-            verdict = "uncertified"  # every level tried was degenerate
-        self.samples_per_round.append(n_new[0])
-        return verdict
+                return "uncertified"
+        return "uncertified"  # every level tried was degenerate
 
-    def _round_body(self, batch_eval, abort_on, consumed, stage, full_circle) -> str:
+    def _round_body(self, batch_eval) -> str:
+        """Sweep the domain, then check the interpolant's minimizers and root midpoints."""
         lo, hi = self.domain
-        # probe phase: sample adaptively, restarting optimization on zeros
-        while True:
-            stage[0] = "probe"
-            outcome = approximate(
-                batch_eval,
-                lo,
-                hi,
-                abort_on=abort_on,
-                value_key=lambda cv: cv.value,
-                zero_set_only=True,
-            )
-            if isinstance(outcome, Completed):
-                break
-            zeros = [cv for _, cv in outcome.trigger_samples]
-            verdict = self._assess_zeros(zeros, "Probe", consumed)
-            if verdict != "consumed":
-                return verdict
-            # consumed zeros: re-enter sampling; cached values make the
-            # replay up to the abort point free
+        interp = approximate(
+            batch_eval, lo, hi, value_key=lambda cv: cv.value, zero_set_only=True
+        ).interpolant
+        batch_eval(interp.global_minimizers()[0], "final-min")
+        roots = interp.roots()
+        mids = list(0.5 * (roots[:-1] + roots[1:]))
+        if hi - lo > 1.5 * np.pi and len(roots) >= 1:  # (-pi, pi] sweep
+            wrap = 0.5 * (roots[-1] + roots[0] + 2.0 * np.pi)
+            if wrap > hi:
+                wrap -= 2.0 * np.pi
+            mids.append(wrap)
+        if mids:
+            batch_eval(np.array(mids), "root-midpoint")
+        return "converged"
 
-        # final checks on the completed interpolant; the interpolant and its
-        # check abscissae are computed once, consumed angles are filtered out
-        interp = outcome.interpolant
-        xs, _ = interp.global_minimizers()
-        mids = None
-        while True:
-            stage[0] = "final-min"
-            cvs = batch_eval(xs)
-            zeros = [cv for cv in cvs if cv.is_zero and cv.theta not in consumed]
-            trigger = "FinalMinCheck"
-            if not zeros:
-                stage[0] = "root-midpoint"
-                if mids is None:
-                    roots = interp.roots()
-                    mids = list(0.5 * (roots[:-1] + roots[1:]))
-                    if full_circle and len(roots) >= 1:
-                        wrap = 0.5 * (roots[-1] + roots[0] + 2.0 * np.pi)
-                        if wrap > hi:
-                            wrap -= 2.0 * np.pi
-                        mids.append(wrap)
-                if mids:
-                    cvs = batch_eval(np.array(mids))
-                    zeros = [cv for cv in cvs if cv.is_zero and cv.theta not in consumed]
-                trigger = "RootMidpointCheck"
-            if not zeros:
-                return "converged"
-            verdict = self._assess_zeros(zeros, trigger, consumed)
-            if verdict != "consumed":
-                return verdict
+    def _assess_zeros(self, zeros: list[CertificateValue], trigger: str) -> None:
+        """Restart optimization from all accepted candidates of newly sampled zeros.
 
-    def _assess_zeros(self, zeros: list[CertificateValue], trigger: str, consumed) -> str:
-        """Restart optimization from all accepted candidates of the batch."""
+        Returns when the zeros are consumed and sampling may go on; otherwise
+        ends the round by raising ``_RoundEnd``.
+        """
         # every zero has an accepted candidate (``CertificateValue.is_zero``)
         points = [z for cv in zeros for z, _ in extract_restart_points(cv)]
-        consumed.update(cv.theta for cv in zeros)
         gamma_before = self.gamma
         improvement = self._adopt(self._optimize_from(points))
         if improvement >= RESTART_REL:
             self.restarts.append(
                 RestartRecord(gamma_before, self.gamma, trigger, tuple(points))
             )
-            return "restart"
+            raise _RoundEnd("restart")
         if improvement < TERM_REL:
             # numerically stationary at the global minimum: terminal record
             if improvement > 0.0:
                 self.restarts.append(
                     RestartRecord(gamma_before, self.gamma, trigger, tuple(points))
                 )
-            return "converged"
-        return "consumed"
+            raise _RoundEnd("converged")
 
     # -- main loop ----------------------------------------------------------
 
     def run(self) -> "_Driver":
+        # one pool serves every race round and certificate batch of the solve
+        if self.cfg.workers > 1:
+            self.pool = ThreadPoolExecutor(self.cfg.workers)
+        try:
+            return self._loop()
+        finally:
+            if self.pool is not None:
+                self.pool.shutdown()
+                self.pool = None
+
+    def _loop(self) -> "_Driver":
         best = self._optimize_from(self.starts)
         if best is None:
             raise RuntimeError("no starting point produced a feasible local minimum")

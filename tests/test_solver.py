@@ -377,6 +377,37 @@ def test_race_deterministic_across_workers_at_the_floor():
     assert payloads[0] == payloads[1]
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_zeros_consumed_mid_sweep(workers):
+    # the first round's probe zero restarts optimization; the second round
+    # samples zeros whose restarts lower gamma by between TERM_REL and
+    # RESTART_REL, so sampling goes on and gamma moves without a restart
+    # record, until a zero whose restart gains nothing ends the round
+    a, b = _kahan_pair(10)
+    res = dtu(a, b, [0.5], SolverConfig(workers=workers))
+    assert res.status is SolveStatus.CONVERGED
+    assert res.certificate_samples == (17, 9684)
+    assert [(r.trigger, r.gamma_before, r.gamma_after) for r in res.restarts] == [
+        ("Probe", 8.809802130112499e-05, 1.1883525263201706e-05)
+    ]
+    assert res.quantity == 1.1883525263139571e-05
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_zero_found_by_the_minimizer_check(workers):
+    # the sweep completes without a zero; the certificate at the
+    # interpolant's minimizer is one, and its restart ends the solve
+    gen = rng([4242, 4])
+    a = random_complex(gen, 4)
+    b = random_complex(gen, 4, 1)
+    res = dtu(a, b, [1.0], SolverConfig(workers=workers))
+    assert res.status is SolveStatus.CONVERGED
+    assert res.certificate_samples == (1639,)
+    assert [r.trigger for r in res.restarts] == ["FinalMinCheck"]
+    assert {t.stage for t in res.trace} == {"probe", "final-min"}
+    assert res.quantity == 0.1549840001320904
+
+
 def test_continuous_underflowing_line_search_step_is_infeasible():
     # a line-search trial point reached x = 1.46e-265, where the gradient's
     # x*x underflowed to 0 and raised ZeroDivisionError out of the solve
