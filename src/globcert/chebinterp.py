@@ -61,7 +61,7 @@ ZERO_SET_REL = 1e-2
 # ``approximate`` runs.
 TOL = 1e-13
 MIN_SAMPLES = 17
-MAX_DEGREE = 2**14 + 1
+MAX_DEGREE = 2**12 + 1
 MAX_PIECES = 64
 
 

@@ -12,13 +12,10 @@ stage: the batch's zeros nominate level-set points, and optimization
 restarts from all of them (a sampled zero always has an accepted nomination,
 since a nomination that fails its recheck does not zero the certificate).
 A restart that improves gamma by at least ``RESTART_REL`` relative ends the
-round, and the next round certifies the new gamma.  A restart that improves
-gamma by less than ``TERM_REL`` relative (including not at all) marks the
-zeros as numerically stationary and ends the round as converged, without
-sweeping the rest of the domain; ROADMAP item 1 tracks making such zeros be
-consumed instead.  Zeros whose restarts improve gamma by an amount between
-the two thresholds are consumed and sampling continues.  A round that
-completes the sweep and both checks this way declares convergence.
+round, and the next round certifies the new gamma.  Zeros whose restarts
+improve gamma by less (including not at all) are consumed and sampling
+continues.  Only a round that completes the sweep and both checks declares
+convergence.
 
 The certificate is nonnegative and only its zero set matters, so the
 interpolant is built with ``approximate(..., zero_set_only=True)``: it is
@@ -114,7 +111,6 @@ class ZeroEigenvalue(ValueError):
 
 # Relative thresholds of the restart loop, described in the module docstring.
 # Their order must stay 0 < GAMMA_GUARD < RESTART_REL < 1.
-TERM_REL = 1e-14
 RESTART_REL = 1e-6
 GAMMA_GUARD = 1e-14
 
@@ -131,8 +127,8 @@ class SolveStatus(Enum):
 class SolverConfig:
     """Restart budget and parallelism width.
 
-    The tolerances are module constants: ``TERM_REL``, ``RESTART_REL`` and
-    ``GAMMA_GUARD`` here, ``IMAG_TOL`` and ``VERIFY_TOL`` in ``certificates``,
+    The tolerances are module constants: ``RESTART_REL`` and ``GAMMA_GUARD``
+    here, ``IMAG_TOL`` and ``VERIFY_TOL`` in ``certificates``,
     ``GRAD_TOL``, ``STEP_TOL`` and ``MAX_ITER`` in ``localopt``, and the
     interpolation ladder ``TOL``, ``MIN_SAMPLES``, ``MAX_DEGREE`` and
     ``MAX_PIECES`` in ``chebinterp``.
@@ -186,10 +182,7 @@ def _pmap(fn, items, pool: Optional[ThreadPoolExecutor]) -> list:
 
 
 class _RoundEnd(Exception):
-    """Newly sampled zeros restarted optimization or showed it stationary."""
-
-    def __init__(self, verdict: str):
-        self.verdict = verdict  # 'restart' or 'converged'
+    """Newly sampled zeros restarted optimization with a lower gamma."""
 
 
 _TRIGGERS = {"probe": "Probe", "final-min": "FinalMinCheck", "root-midpoint": "RootMidpointCheck"}
@@ -348,8 +341,8 @@ class _Driver:
                 # alone and sweep again; gamma keeps the best attained value
                 gamma_round *= 1.0 - 10.0 * GAMMA_GUARD
                 cache.clear()
-            except _RoundEnd as end:
-                return end.verdict
+            except _RoundEnd:
+                return "restart"
             except BudgetExceeded:
                 return "uncertified"
         return "uncertified"  # every level tried was degenerate
@@ -386,14 +379,7 @@ class _Driver:
             self.restarts.append(
                 RestartRecord(gamma_before, self.gamma, trigger, tuple(points))
             )
-            raise _RoundEnd("restart")
-        if improvement < TERM_REL:
-            # numerically stationary at the global minimum: terminal record
-            if improvement > 0.0:
-                self.restarts.append(
-                    RestartRecord(gamma_before, self.gamma, trigger, tuple(points))
-                )
-            raise _RoundEnd("converged")
+            raise _RoundEnd
 
     # -- main loop ----------------------------------------------------------
 

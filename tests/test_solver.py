@@ -380,32 +380,67 @@ def test_race_deterministic_across_workers_at_the_floor():
 @pytest.mark.parametrize("workers", [1, 2])
 def test_zeros_consumed_mid_sweep(workers):
     # the first round's probe zero restarts optimization; the second round
-    # samples zeros whose restarts lower gamma by between TERM_REL and
-    # RESTART_REL, so sampling goes on and gamma moves without a restart
-    # record, until a zero whose restart gains nothing ends the round
+    # samples zeros whose restarts lower gamma by less than RESTART_REL, so
+    # each is consumed, gamma moves without a restart record and sampling
+    # goes on until the sweep and both checks complete
     a, b = _kahan_pair(10)
     res = dtu(a, b, [0.5], SolverConfig(workers=workers))
     assert res.status is SolveStatus.CONVERGED
-    assert res.certificate_samples == (17, 9684)
+    assert res.certificate_samples == (17, 7925)
     assert [(r.trigger, r.gamma_before, r.gamma_after) for r in res.restarts] == [
         ("Probe", 8.809802130112499e-05, 1.1883525263201706e-05)
     ]
-    assert res.quantity == 1.1883525263139571e-05
+    assert res.quantity == 1.1883525263137764e-05
+    assert res.quantity < res.restarts[0].gamma_after
 
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_zero_found_by_the_minimizer_check(workers):
     # the sweep completes without a zero; the certificate at the
-    # interpolant's minimizer is one, and its restart ends the solve
+    # interpolant's minimizer is one, whose restart gains less than
+    # RESTART_REL, so it is consumed and the round converges
     gen = rng([4242, 4])
     a = random_complex(gen, 4)
     b = random_complex(gen, 4, 1)
     res = dtu(a, b, [1.0], SolverConfig(workers=workers))
     assert res.status is SolveStatus.CONVERGED
     assert res.certificate_samples == (1639,)
-    assert [r.trigger for r in res.restarts] == ["FinalMinCheck"]
-    assert {t.stage for t in res.trace} == {"probe", "final-min"}
+    assert res.restarts == ()
+    assert [t.value for t in res.trace if t.stage == "final-min"] == [0.0]
     assert res.quantity == 0.1549840001320904
+
+
+def _two_block_continuous(k, omega, d, c):
+    # a Jordan block at -1 beside a weakly damped one at -d + i*omega; the
+    # second block's peak lies far from a start near the first
+    a = np.zeros((4, 4), dtype=complex)
+    a[:2, :2] = [[-1.0, k], [0.0, -1.0]]
+    a[2:, 2:] = (-d + 1j * omega) * np.eye(2) + [[0.0, c], [0.0, 0.0]]
+    return a
+
+
+def test_zero_without_gain_does_not_end_the_sweep():
+    # the descent from 1 ends at K = 1.25, the first block's peak; a sampled
+    # zero whose restart gains nothing must not end the round, or the
+    # second block's higher peak is never found
+    a = _two_block_continuous(4.0, 40.0, 0.01, 0.05)
+    res = kreiss_continuous(a, [1 + 0j])
+    assert res.status is SolveStatus.CONVERGED
+    assert_close(res.quantity, 1.4499999999999997, rel=1e-12)
+
+
+def test_one_start_finds_the_far_block():
+    # seeded slice of the two-block family: one start must give what a
+    # second start beside the far block's eigenvalue gives
+    for seed in range(2000, 2040):
+        gen = np.random.default_rng(seed)
+        k, omega = gen.uniform(1, 6), gen.uniform(5, 60)
+        d, c = gen.uniform(0.005, 0.05), gen.uniform(0.02, 0.2)
+        a = _two_block_continuous(k, omega, d, c)
+        one = kreiss_continuous(a, [1 + 0j])
+        two = kreiss_continuous(a, [1 + 0j, d + 1j * omega])
+        assert one.status is SolveStatus.CONVERGED, seed
+        assert_close(one.quantity, two.quantity, rel=1e-8, label=f"seed {seed}")
 
 
 def test_continuous_underflowing_line_search_step_is_infeasible():
