@@ -437,10 +437,9 @@ class _NeedSplit(Exception):
 class _Sampler:
     """Caches values by exact abscissa and checks the abort predicate per batch."""
 
-    def __init__(self, fn, abort_on, value_key):
+    def __init__(self, fn, abort_on):
         self.fn = fn
         self.abort_on = abort_on
-        self.value_key = value_key if value_key is not None else float
         self.cache: dict[float, float] = {}
         self.count = 0
         self.scale = 0.0
@@ -454,7 +453,7 @@ class _Sampler:
                 raise ValueError("batch function returned wrong number of results")
             triggers = []
             for x, res in zip(new, results):
-                val = float(self.value_key(res))
+                val = float(res)
                 self.cache[x] = val
                 self.count += 1
                 self.scale = max(self.scale, abs(val))
@@ -585,11 +584,10 @@ def _run_ladder(sampler: _Sampler, a: float, b: float, zero_set_only: bool) -> n
 
 
 def approximate(
-    fn: Callable[[np.ndarray], Sequence[Any]],
+    fn: Callable[[np.ndarray], Sequence[float]],
     lo: float,
     hi: float,
-    abort_on: Optional[Callable[[Any], bool]] = None,
-    value_key: Optional[Callable[[Any], float]] = None,
+    abort_on: Optional[Callable[[float], bool]] = None,
     *,
     zero_set_only: bool = False,
 ) -> SamplingOutcome:
@@ -598,11 +596,10 @@ def approximate(
     Parameters
     ----------
     fn : callable
-        Maps a 1-D array of new sample points to a sequence of results, one
-        per point, in order.  Results may be any object; ``value_key``
-        extracts the float to interpolate (default: ``float(result)``).
+        Maps a 1-D array of new sample points to a sequence of values, one
+        per point, in order; each value is read with ``float``.
     abort_on : callable, optional
-        Predicate over a single result.  As soon as any batch contains a
+        Predicate over a single value.  As soon as any batch contains a
         triggering sample, sampling halts and all triggers from that batch
         are returned in an ``Aborted`` outcome.
     zero_set_only : bool, keyword-only
@@ -624,7 +621,7 @@ def approximate(
     """
     if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
         raise ValueError(f"invalid interval [{lo!r}, {hi!r}]")
-    sampler = _Sampler(fn, abort_on, value_key)
+    sampler = _Sampler(fn, abort_on)
     # work items: interval, parent stall plateau, known feature location
     pending: list[tuple[float, float, float, Optional[float]]] = [
         (float(lo), float(hi), np.inf, None)

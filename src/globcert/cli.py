@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from .linalg import norm2
-from .localopt import Objective
+from .localopt import InfeasibleStart, Objective, check_start
 from .mmio import read_matrix
 from .oracle import GridSpec, grid_min
 from .pencils import PencilKind
@@ -91,9 +91,11 @@ def _count(text: str) -> int:
 
 def _default_workers(command: str) -> int:
     # GLOBCERT_WORKERS follows the rule of --workers; unset or empty means
-    # one worker per CPU
+    # one worker per CPU that this process may run on
     env = os.environ.get("GLOBCERT_WORKERS")
     if not env:
+        if hasattr(os, "sched_getaffinity"):
+            return len(os.sched_getaffinity(0))
         return os.cpu_count() or 1
     try:
         return _count(env)
@@ -167,22 +169,12 @@ def parse_args(argv) -> RunRequest:
 
     defaults = {"kreiss-c": (1 + 1j,), "kreiss-d": (2 + 0j,), "dtu": ()}
     starts = tuple(ns.start) if ns.start else defaults[ns.command]
-    if ns.command == "kreiss-d":
-        for z in starts:
-            if not abs(z) > 1.0:
-                print(
-                    f"globcert kreiss-d: error: --start {z} is infeasible (|z| <= 1)",
-                    file=sys.stderr,
-                )
-                raise SystemExit(1)
-    if ns.command == "kreiss-c":
-        for z in starts:
-            if not z.real > 0.0:
-                print(
-                    f"globcert kreiss-c: error: --start {z} is infeasible (Re z <= 0)",
-                    file=sys.stderr,
-                )
-                raise SystemExit(1)
+    for z in starts:
+        try:
+            check_start(_KINDS[ns.command], z)
+        except InfeasibleStart as exc:  # "start <z> is infeasible (<rule broken>)"
+            print(f"globcert {ns.command}: error: --{exc}", file=sys.stderr)
+            raise SystemExit(1) from None
     cfg = SolverConfig(
         max_restarts=ns.max_restarts,
         workers=ns.workers if ns.workers is not None else _default_workers(ns.command),

@@ -4,10 +4,19 @@ Values and gradients come from the singular-triplet identity: for a matrix
 function F of a real parameter t, the derivative of sigma_min(F) along t is
 ``Re(u* dF/dt v)`` with u, v the unit singular vectors of sigma_min.  The
 continuous-time and uncontrollability objectives are minimized in Cartesian
-coordinates, the discrete-time one in polar coordinates.  Feasibility is kept
-by smooth reparametrization (x = e^w for Re z > 0, r = 1 + e^w for |z| > 1),
-so iterates can never leave the feasible region and no projection
-nonsmoothness is introduced.
+coordinates, the discrete-time one in polar coordinates.
+``objective_value_grad`` returns ``(value, grad)`` from one SVD.
+
+This module holds the package's one feasibility rule, and the solver and the
+command line ask ``check_start`` rather than test points themselves.  A
+continuous-time point needs Re z > 0 and also Re z · Re z > 0, since the
+gradient divides by (Re z)²: a start such as 1e-200 is infeasible.  A
+discrete-time point needs |z| > 1; every point is feasible for the
+uncontrollability objective.  A start must also stay feasible once rounded
+into the working parameters below.  Feasibility is kept by smooth
+reparametrization (x = e^w for Re z > 0, r = 1 + e^w for |z| > 1), so
+iterates can never leave the feasible region and no projection nonsmoothness
+is introduced.
 
 The search itself is a two-variable BFGS with backtracking line search;
 Hessians are not used.  Its cost varies widely: without the floor stop below,
@@ -42,12 +51,11 @@ __all__ = [
     "InfeasibleStart",
     "LocalMin",
     "Objective",
+    "check_start",
     "descend",
     "minimize",
     "objective_value_grad",
 ]
-
-DEGENERATE_REL_GAP = 1e-12
 
 # The stop tests of ``descend``; its docstring says what each one bounds.
 GRAD_TOL = 1e-12
@@ -102,73 +110,80 @@ class LocalMin:
 
     z: complex
     value: float
-    grad_norm: float
     iterations: int
     converged: bool = True
-    degenerate: bool = False
 
 
-def _feasible(kind: PencilKind, z: complex) -> bool:
+def _infeasibility(kind: PencilKind, z: complex) -> Optional[str]:
+    # the one feasibility rule of the package, as the reason z breaks it;
+    # the continuous-time gradient divides by (Re z)², which must not
+    # underflow to 0
     if kind is PencilKind.KREISS_CONTINUOUS:
-        return z.real > 0.0
-    if kind is PencilKind.KREISS_DISCRETE:
-        return abs(z) > 1.0
-    return True
+        if not z.real > 0.0:
+            return "Re z <= 0"
+        if not z.real * z.real > 0.0:
+            return "Re z * Re z underflows to 0"
+    elif kind is PencilKind.KREISS_DISCRETE and not abs(z) > 1.0:
+        return "|z| <= 1"
+    return None
 
 
-def _triplet_info(m):
-    """Smallest singular triplet plus a degeneracy flag for the two smallest.
+def check_start(kind: PencilKind, z) -> complex:
+    """``z`` as a complex number if a descent can start there.
 
-    ``m`` is built from the objective's validated matrices, so it is not
-    validated again; the flag reads the gap from the same SVD.
+    Raises ``InfeasibleStart``, naming ``z`` and the rule it breaks, unless
+    ``z`` is strictly feasible and stays so once rounded into the descent's
+    working parameters.
     """
-    trip, s = svd_triplet(m)
-    degenerate = len(s) >= 2 and (s[-2] - s[-1]) <= DEGENERATE_REL_GAP * max(s[0], 1e-300)
-    return trip, degenerate
+    z = complex(z)
+    reason = _infeasibility(kind, z)
+    if reason is None and _infeasibility(kind, _unpack(kind, _pack(kind, z))) is not None:
+        reason = "rounds onto the boundary"
+    if reason is not None:
+        raise InfeasibleStart(f"start {z} is infeasible ({reason})")
+    return z
 
 
 def objective_value_grad(obj: Objective, z: complex):
     """Objective value and analytic gradient at a strictly feasible point.
 
-    Returns ``(value, grad, degenerate)`` where grad is a length-2 array in
-    the objective's native parametrization: (x, y) Cartesian for the
+    Returns ``(value, grad)`` where grad is a length-2 array in the
+    objective's native parametrization: (x, y) Cartesian for the
     continuous-time and uncontrollability objectives, (r, theta) polar for
-    the discrete-time one.  ``degenerate`` flags a (near-)multiple smallest
-    singular value, in which case grad is a subgradient choice from the
-    first returned triplet.
+    the discrete-time one.  At a multiple smallest singular value, grad is
+    the subgradient of the triplet that the SVD returns.
     """
     z = complex(z)
-    if not _feasible(obj.kind, z):
-        raise InfeasiblePoint(f"z={z!r} is not strictly feasible for {obj.kind.value}")
+    reason = _infeasibility(obj.kind, z)
+    if reason is not None:
+        raise InfeasiblePoint(f"z={z!r} is infeasible for {obj.kind.value} ({reason})")
     n = obj.a.shape[0]
     eye = obj.eye
 
     if obj.kind is PencilKind.KREISS_CONTINUOUS:
         x = z.real
-        if x * x == 0.0:  # the gradient's x² underflows: too close to Re z = 0
-            raise InfeasiblePoint(f"z={z!r} is too close to the imaginary axis")
-        trip, degen = _triplet_info(z * eye - obj.a)
+        trip = svd_triplet(z * eye - obj.a)[0]
         uv = complex(np.vdot(trip.u, trip.v))  # u* v
         s_x, s_y = uv.real, -uv.imag
         value = trip.sigma / x
         grad = np.array([(x * s_x - trip.sigma) / (x * x), s_y / x])
-        return value, grad, degen
+        return value, grad
 
     if obj.kind is PencilKind.KREISS_DISCRETE:
         r, theta = abs(z), cmath.phase(z)
-        trip, degen = _triplet_info(z * eye - obj.a)
+        trip = svd_triplet(z * eye - obj.a)[0]
         w = complex(np.exp(1j * theta) * np.vdot(trip.u, trip.v))  # e^{i theta} u* v
         s_r, s_t = w.real, -r * w.imag
         value = trip.sigma / (r - 1.0)
         grad = np.array(
             [(s_r * (r - 1.0) - trip.sigma) / (r - 1.0) ** 2, s_t / (r - 1.0)]
         )
-        return value, grad, degen
+        return value, grad
 
-    trip, degen = _triplet_info(np.hstack([obj.a - z * eye, obj.b]))
+    trip = svd_triplet(np.hstack([obj.a - z * eye, obj.b]))[0]
     uv1 = complex(np.vdot(trip.u, trip.v[:n]))  # u* v_1, first n rows of v
     grad = np.array([-uv1.real, uv1.imag])
-    return trip.sigma, grad, degen
+    return trip.sigma, grad
 
 
 def _pack(kind: PencilKind, z: complex) -> np.ndarray:
@@ -205,12 +220,8 @@ def descend(obj: Objective, z0: complex):
     ``STEP_TOL`` relative; hitting the ``MAX_ITER`` cap returns the best
     iterate with ``converged=False``.
     """
-    z0 = complex(z0)
-    if not _feasible(obj.kind, z0):
-        raise InfeasibleStart(f"start z0={z0!r} is not strictly feasible for {obj.kind.value}")
-
-    p = _pack(obj.kind, z0)
-    f, ng, degen = objective_value_grad(obj, _unpack(obj.kind, p))
+    p = _pack(obj.kind, check_start(obj.kind, z0))
+    f, ng = objective_value_grad(obj, _unpack(obj.kind, p))
     g = _working_grad(obj.kind, p, ng)
     hinv = np.eye(2)
     iters = 0
@@ -232,7 +243,7 @@ def descend(obj: Objective, z0: complex):
         for _ in range(50):
             p_try = p + step * d
             try:
-                f_try, ng_try, degen_try = objective_value_grad(obj, _unpack(obj.kind, p_try))
+                f_try, ng_try = objective_value_grad(obj, _unpack(obj.kind, p_try))
             except (OverflowError, InfeasiblePoint):
                 step *= 0.5
                 continue
@@ -248,7 +259,6 @@ def descend(obj: Objective, z0: complex):
         s = p_try - p
         y = g_try - g
         p, f, g = p_try, f_new, g_try
-        degen = degen or degen_try
         sy = float(s @ y)
         if sy > 1e-12 * float(np.linalg.norm(s)) * float(np.linalg.norm(y)):
             rho = 1.0 / sy
@@ -259,15 +269,7 @@ def descend(obj: Objective, z0: complex):
             break
         yield
 
-    z = _unpack(obj.kind, p)
-    return LocalMin(
-        z=z,
-        value=float(f),
-        grad_norm=float(np.linalg.norm(g)),
-        iterations=iters,
-        converged=converged,
-        degenerate=degen,
-    )
+    return LocalMin(z=_unpack(obj.kind, p), value=float(f), iterations=iters, converged=converged)
 
 
 def minimize(obj: Objective, z0: complex) -> LocalMin:

@@ -44,7 +44,11 @@ and a race without a floor hit returns what the sequential runs would.
 
 Fast paths: normal stable matrices have transient bound exactly 1 (the
 infimum is approached only as r grows without bound, so the loop could not
-terminate on it), and unstable matrices have an infinite bound.
+terminate on it), and unstable matrices have an infinite bound.  Past the
+fast paths, every start is checked with ``localopt.check_start``, the
+package's one feasibility rule, and an infeasible start raises
+``InfeasibleStart`` naming it before any descent runs.  So the solve raises
+``RuntimeError`` only when the SVD fails in every descent from the starts.
 """
 
 from __future__ import annotations
@@ -79,6 +83,7 @@ from .localopt import (
     InfeasibleStart,
     LocalMin,
     Objective,
+    check_start,
     descend,
 )
 from .pencils import (
@@ -208,7 +213,7 @@ class _Driver:
         self.cfg = cfg
         self.domain = domain
         self.obj = Objective(kind, a, b)
-        self.starts = list(starts)
+        self.starts = [check_start(kind, z) for z in starts]
         self.gamma = np.inf
         self.zstar: complex = complex(np.nan, np.nan)
         self.restarts: list[RestartRecord] = []
@@ -232,8 +237,8 @@ class _Driver:
         obj, floor = self.obj, self.obj.floor
 
         def run(z0):
-            # a start that is infeasible once rounded, or whose SVD fails,
-            # is dropped; any other error is a defect and propagates
+            # a restart point off the feasible region, or one whose SVD
+            # fails, is dropped; any other error is a defect and propagates
             try:
                 return (yield from descend(obj, z0))
             except (InfeasibleStart, InfeasiblePoint, DecompositionError):
@@ -281,7 +286,7 @@ class _Driver:
     def _certificate_round(self) -> str:
         """One full certificate round; returns 'restart', 'converged' or 'uncertified'."""
         gamma_round = self.gamma
-        cache: dict[float, CertificateValue] = {}
+        cache: dict[float, float] = {}
         self.samples_per_round.append(0)
 
         for _attempt in range(6):
@@ -297,7 +302,7 @@ class _Driver:
                 if abs(gamma_cert - 1.0) <= 1e-6:
                     gamma_cert = 1.0 - 1e-6
 
-            def batch_eval(thetas, stage="probe") -> list[CertificateValue]:
+            def batch_eval(thetas, stage="probe") -> list[float]:
                 thetas = [float(t) for t in np.atleast_1d(thetas)]
                 missing = list(dict.fromkeys(t for t in thetas if t not in cache))
 
@@ -313,7 +318,7 @@ class _Driver:
                 chunks = [missing[i : i + step] for i in range(0, len(missing), step)]
                 cvs = list(itertools.chain.from_iterable(_pmap(chunk, chunks, self.pool)))
                 for t, cv in zip(missing, cvs):
-                    cache[t] = cv
+                    cache[t] = cv.value
                     self.trace.append(
                         TraceRecord(
                             round=self.round,
@@ -350,9 +355,7 @@ class _Driver:
     def _round_body(self, batch_eval) -> str:
         """Sweep the domain, then check the interpolant's minimizers and root midpoints."""
         lo, hi = self.domain
-        interp = approximate(
-            batch_eval, lo, hi, value_key=lambda cv: cv.value, zero_set_only=True
-        ).interpolant
+        interp = approximate(batch_eval, lo, hi, zero_set_only=True).interpolant
         batch_eval(interp.global_minimizers()[0], "final-min")
         roots = interp.roots()
         mids = list(0.5 * (roots[:-1] + roots[1:]))
@@ -395,6 +398,8 @@ class _Driver:
                 self.pool = None
 
     def _loop(self) -> "_Driver":
+        if not self.starts:
+            raise ValueError("at least one starting point is required")
         best = self._optimize_from(self.starts)
         if best is None:
             raise RuntimeError("no starting point produced a feasible local minimum")
@@ -446,8 +451,9 @@ def _trivial(status: SolveStatus, quantity: float, gamma: float, t0: float) -> S
 def kreiss_continuous(a, starts, cfg: SolverConfig = SolverConfig()) -> SolveResult:
     """Continuous-time transient-growth bound of ``a`` (its Kreiss constant).
 
-    ``starts`` are initial points with Re z > 0.  Returns quantity K with
-    K = 1/gamma_final, or the trivial statuses for normal/unstable inputs.
+    ``starts`` are initial points with Re z > 0 and Re z · Re z > 0; see
+    ``localopt.check_start``.  Returns quantity K with K = 1/gamma_final, or
+    the trivial statuses for normal/unstable inputs.
     """
     t0 = time.perf_counter()
     a = as_complex_matrix(a)
@@ -459,11 +465,6 @@ def kreiss_continuous(a, starts, cfg: SolverConfig = SolverConfig()) -> SolveRes
         return _trivial(SolveStatus.TRIVIAL_NORMAL, 1.0, 1.0, t0)
     if np.min(np.abs(lam)) <= 1e-12 * scale:
         raise ZeroEigenvalue("A has a numerically zero eigenvalue")
-    if not starts:
-        raise ValueError("at least one starting point is required")
-    for z in starts:
-        if not complex(z).real > 0.0:
-            raise InfeasibleStart(f"continuous-time start {z!r} must have Re z > 0")
     domain = (0.0, np.pi / 2) if _is_real(a) else (-np.pi / 2, np.pi / 2)
     driver = _Driver(PencilKind.KREISS_CONTINUOUS, a, None, starts, cfg, domain).run()
     return _finish(driver, lambda g: 1.0 / g, t0)
@@ -472,7 +473,8 @@ def kreiss_continuous(a, starts, cfg: SolverConfig = SolverConfig()) -> SolveRes
 def kreiss_discrete(a, starts, cfg: SolverConfig = SolverConfig()) -> SolveResult:
     """Discrete-time transient-growth bound of ``a``.
 
-    ``starts`` must satisfy |z| > 1; optimization runs in polar coordinates.
+    ``starts`` must satisfy |z| > 1 (``localopt.check_start``); optimization
+    runs in polar coordinates.
     """
     t0 = time.perf_counter()
     a = as_complex_matrix(a)
@@ -480,11 +482,6 @@ def kreiss_discrete(a, starts, cfg: SolverConfig = SolverConfig()) -> SolveResul
         return _trivial(SolveStatus.UNSTABLE_INFINITE, np.inf, 0.0, t0)
     if is_normal(a):
         return _trivial(SolveStatus.TRIVIAL_NORMAL, 1.0, 1.0, t0)
-    if not starts:
-        raise ValueError("at least one starting point is required")
-    for z in starts:
-        if not abs(complex(z)) > 1.0:
-            raise InfeasibleStart(f"discrete-time start {z!r} must have |z| > 1")
     domain = (0.0, np.pi) if _is_real(a) else (-np.pi, np.pi)
     driver = _Driver(PencilKind.KREISS_DISCRETE, a, None, starts, cfg, domain).run()
     return _finish(driver, lambda g: 1.0 / g, t0)
@@ -501,7 +498,7 @@ def dtu(a, b, starts, cfg: SolverConfig = SolverConfig()) -> SolveResult:
     t0 = time.perf_counter()
     a = as_complex_matrix(a)
     b = as_complex_matrix(b)
-    starts = [complex(z) for z in starts] + [0j]
+    starts = list(starts) + [0j]
     symmetric = (_is_real(a) and _is_real(b)) or _is_hermitian(a)
     domain = (0.0, np.pi) if symmetric else (-np.pi, np.pi)
     driver = _Driver(PencilKind.DIST_UNCONTROLLABLE, a, b, starts, cfg, domain).run()

@@ -8,8 +8,10 @@ from conftest import assert_close, rng
 from globcert.chebinterp import (
     Aborted,
     BudgetExceeded,
+    ChebPiece,
     Completed,
     OutOfDomain,
+    PiecewiseCheb,
     approximate,
     coeffs2vals,
     vals2coeffs,
@@ -193,6 +195,30 @@ def test_evaluate_boundaries_and_domain():
     assert_close(p.evaluate(1.0), 1.0, rel=1e-12)
     with pytest.raises(OutOfDomain):
         p.evaluate(1.5)
+
+
+@pytest.mark.parametrize("lo, hi", [(1.0, 1.0), (1.0, -1.0), (0.0, np.inf), (np.nan, 1.0)])
+def test_approximate_rejects_an_empty_or_non_finite_interval(lo, hi):
+    with pytest.raises(ValueError, match="invalid interval"):
+        approximate(batch(np.exp), lo, hi)
+
+
+def test_approximate_rejects_a_batch_of_the_wrong_length():
+    with pytest.raises(ValueError, match="wrong number of results"):
+        approximate(lambda xs: [1.0] * (len(xs) - 1), -1, 1)
+
+
+def test_all_zero_piece_stands_for_its_whole_interval():
+    # p = 0 on [0, 1] and p = x - 1 on [1, 2]: the zero piece's endpoints
+    # stand in for its roots, and its midpoint for its minimizers
+    p = PiecewiseCheb(
+        (ChebPiece(0.0, 1.0, np.zeros(5)), ChebPiece(1.0, 2.0, np.array([0.5, 0.5]))),
+        (0.0, 2.0),
+    )
+    assert np.array_equal(p.roots(), [0.0, 1.0])
+    xs, vmin = p.global_minimizers()
+    assert vmin == 0.0
+    assert 0.5 in xs and all(0.0 <= x <= 1.0 for x in xs)
 
 
 def test_abort_on_first_triggering_batch():

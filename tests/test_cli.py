@@ -97,6 +97,19 @@ def test_env_var_workers(tmp_path, monkeypatch):
     assert req.config.workers == 3
 
 
+def test_default_workers_follow_the_affinity_mask(tmp_path, monkeypatch):
+    # a process restricted to one CPU of two gets one worker, not two
+    monkeypatch.delenv("GLOBCERT_WORKERS", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    m = tmp_path / "A.mtx"
+    write_matrix(m, np.eye(2))
+    assert parse_args(["kreiss-c", str(m)]).config.workers == 1
+    # where the platform has no affinity mask, the CPU count
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert parse_args(["kreiss-c", str(m)]).config.workers == 2
+
+
 @pytest.mark.parametrize("value", ["abc", "0", "-3"])
 def test_env_var_workers_rejects_non_counts(tmp_path, monkeypatch, capsys, value):
     # the same rule as --workers: a bad value is a usage error naming the variable
@@ -305,6 +318,30 @@ def test_cli_reports_solver_errors(tmp_path, capsys):
     assert main(["kreiss-c", str(a_path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("globcert: error: ") and "zero eigenvalue" in err
+
+
+def test_cli_names_a_start_whose_square_underflows(tmp_path):
+    # Re z > 0 holds but Re z * Re z underflows; the solve used to end in
+    # "no starting point produced a feasible local minimum"
+    a_path = tmp_path / "A.mtx"
+    write_matrix(a_path, np.array([[-1.0, 4.0], [0.0, -2.0]]))
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "globcert.cli", "kreiss-c", str(a_path), "--start", "1e-200"],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 1
+    assert "globcert kreiss-c: error: --start (1e-200+0j) is infeasible" in proc.stderr
+
+
+def test_verify_dtu_requires_b(tmp_path, capsys):
+    a_path = tmp_path / "A.mtx"
+    write_matrix(a_path, np.eye(2))
+    assert main(["verify", "dtu", str(a_path)]) == 1
+    assert "globcert verify: error: dtu requires a B matrix" in capsys.readouterr().err
 
 
 def test_console_script_help():

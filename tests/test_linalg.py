@@ -124,3 +124,9 @@ def test_spectral_abscissa_radius():
     z = np.zeros((3, 3))
     assert spectral_abscissa(z) == 0.0
     assert spectral_radius(z) == 0.0
+
+
+@pytest.mark.parametrize("fn", [eigenvalues, is_normal])
+def test_square_only_kernels_reject_a_non_square_matrix(fn):
+    with pytest.raises(ValueError, match="square"):
+        fn(np.ones((2, 3)))

@@ -1,5 +1,7 @@
 """Objectives and the quasi-Newton minimizer: gradients, feasibility, descent."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,7 @@ from globcert.localopt import (
     InfeasiblePoint,
     InfeasibleStart,
     Objective,
-    _triplet_info,
+    check_start,
     descend,
     minimize,
     objective_value_grad,
@@ -26,33 +28,39 @@ def test_objective_validation():
         Objective(PencilKind.KREISS_CONTINUOUS, np.eye(2), np.eye(2))  # stray B
     with pytest.raises(ValueError):
         Objective(PencilKind.DIST_UNCONTROLLABLE, np.eye(2), np.eye(3))
+    with pytest.raises(ValueError, match="square"):
+        Objective(PencilKind.KREISS_CONTINUOUS, np.ones((2, 3)))
 
 
-def test_triplet_info_bitwise_equal_to_smallest_singular_triplet():
+def test_objective_values_bitwise_equal_to_smallest_singular_value():
+    # the objectives read sigma_min from svd_triplet on matrices they built
+    # from validated inputs; validating again would change no bit
     gen = rng(18)
-    for rows, cols in ((1, 1), (3, 3), (6, 6), (4, 6), (8, 9)):
-        m = random_complex(gen, rows, cols)
-        trip, _ = _triplet_info(m)
-        ref = smallest_singular_triplet(m)
-        assert trip.sigma == ref.sigma
-        assert np.array_equal(trip.u, ref.u) and np.array_equal(trip.v, ref.v)
-    # a repeated smallest singular value is flagged, a simple one is not
-    assert _triplet_info(np.diag([3.0, 1.0, 1.0]).astype(complex))[1]
-    assert not _triplet_info(np.diag([3.0, 2.0, 1.0]).astype(complex))[1]
+    for n in (1, 3, 6):
+        a, b = random_complex(gen, n), random_complex(gen, n, 2)
+        z = complex(gen.uniform(0.3, 3), gen.uniform(-2, 2))
+        eye = np.eye(n)
+        cases = (
+            (PencilKind.KREISS_CONTINUOUS, None, z, z * eye - a, z.real),
+            (PencilKind.KREISS_DISCRETE, None, 1 + z, (1 + z) * eye - a, abs(1 + z) - 1.0),
+            (PencilKind.DIST_UNCONTROLLABLE, b, z, np.hstack([a - z * eye, b]), 1.0),
+        )
+        for kind, bm, w, m, scale in cases:
+            value, _ = objective_value_grad(Objective(kind, a, bm), w)
+            assert value == smallest_singular_triplet(m).sigma / scale
 
 
 def test_dtu_scalar_value_and_gradient():
     obj = Objective(PencilKind.DIST_UNCONTROLLABLE, [[2.0]], [[1.0]])
-    v, g, degen = objective_value_grad(obj, 3.0 + 0j)
+    v, g = objective_value_grad(obj, 3.0 + 0j)
     assert_close(v, np.sqrt(2.0), rel=1e-12)
     assert_close(g[0], 1 / np.sqrt(2.0), rel=1e-12)
     assert abs(g[1]) <= 1e-12
-    assert not degen
 
 
 def test_continuous_value_and_gradient_at_one():
     obj = Objective(PencilKind.KREISS_CONTINUOUS, -np.eye(2))
-    v, g, _ = objective_value_grad(obj, 1.0 + 0j)
+    v, g = objective_value_grad(obj, 1.0 + 0j)
     assert_close(v, 2.0, rel=1e-14)
     assert_close(g[0], -1.0, rel=1e-10)
     assert abs(g[1]) <= 1e-10
@@ -101,9 +109,7 @@ def test_gradients_match_finite_differences():
                 z = complex((1.3 + gen.uniform(0, 2)) * np.exp(1j * gen.uniform(-3, 3)))
             else:
                 z = complex(gen.uniform(0.3, 3), gen.uniform(-2, 2))
-            v, g, degen = objective_value_grad(obj, z)
-            if degen:
-                continue
+            v, g = objective_value_grad(obj, z)
             fd = _fd_gradient(obj, z, kind)
             if np.linalg.norm(fd) < 1e-3:
                 continue  # too flat for a meaningful relative check
@@ -123,7 +129,7 @@ def test_minimize_dtu_scalar():
 
 def test_minimize_two_basin_lands_locally():
     obj = Objective(PencilKind.DIST_UNCONTROLLABLE, np.diag([1.0, 5.0]), [[1.0], [1.0]])
-    f09, _, _ = objective_value_grad(obj, 0.9 + 0j)
+    f09, _ = objective_value_grad(obj, 0.9 + 0j)
     r1 = minimize(obj, 0.9 + 0j)
     assert abs(r1.z - 1.0) < 0.5 and r1.value < f09
     r2 = minimize(obj, 5.1 + 0j)
@@ -165,14 +171,13 @@ def test_local_optimality_compass():
     a = stable_continuous(gen, 4)
     obj = Objective(PencilKind.KREISS_CONTINUOUS, a)
     res = minimize(obj, 1.0 + 0.5j)
-    if not res.degenerate:
-        r = 1e-5 * (1 + abs(res.z))
-        for k in range(8):
-            w = res.z + r * np.exp(2j * np.pi * k / 8)
-            if w.real <= 0:
-                continue
-            v, _, _ = objective_value_grad(obj, w)
-            assert v >= res.value - 1e-10
+    r = 1e-5 * (1 + abs(res.z))
+    for k in range(8):
+        w = res.z + r * np.exp(2j * np.pi * k / 8)
+        if w.real <= 0:
+            continue
+        v, _ = objective_value_grad(obj, w)
+        assert v >= res.value - 1e-10
 
 
 def test_descend_is_minimize_one_iteration_at_a_time():
@@ -196,7 +201,7 @@ def test_descend_stops_at_the_iteration_cap(monkeypatch):
     # takes effect; the best iterate so far is returned, unconverged
     a = stable_continuous(rng(75), 4)
     obj = Objective(PencilKind.KREISS_CONTINUOUS, a)
-    start, _, _ = objective_value_grad(obj, 1 + 1j)
+    start, _ = objective_value_grad(obj, 1 + 1j)
     assert minimize(obj, 1 + 1j).iterations > 2
     monkeypatch.setattr(localopt, "MAX_ITER", 2)
     res = minimize(obj, 1 + 1j)
@@ -228,3 +233,54 @@ def test_continuous_point_whose_square_underflows_is_infeasible():
     obj = Objective(PencilKind.KREISS_CONTINUOUS, -np.eye(2))
     with pytest.raises(InfeasiblePoint):
         objective_value_grad(obj, 1e-170 + 1j)
+
+
+def _stable(kind):
+    return Objective(kind, -np.eye(2) if kind is PencilKind.KREISS_CONTINUOUS else 0.5 * np.eye(2))
+
+
+@pytest.mark.parametrize(
+    "kind, z, rule",
+    [
+        (PencilKind.KREISS_CONTINUOUS, -1 + 1j, "Re z <= 0"),
+        (PencilKind.KREISS_CONTINUOUS, 1e-200 + 0j, "underflows"),
+        (PencilKind.KREISS_CONTINUOUS, 1e-170 + 1j, "underflows"),
+        (PencilKind.KREISS_DISCRETE, 0.9j, "|z| <= 1"),
+    ],
+)
+def test_check_start_names_the_start_and_the_rule(kind, z, rule):
+    with pytest.raises(InfeasibleStart, match=f"start {re.escape(str(z))} is infeasible") as info:
+        check_start(kind, z)
+    assert rule in str(info.value)
+    with pytest.raises(InfeasiblePoint):
+        objective_value_grad(_stable(kind), z)
+
+
+def test_every_accepted_start_is_evaluated():
+    # starts at the edge of the feasible region: where check_start accepts
+    # one, the descent's first point, the start rounded into its working
+    # parameters, is feasible too.  Just above the smallest x with x*x > 0,
+    # exp(log(x)) can round below it
+    lo, hi = 1e-163, 1e-161
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (lo, mid) if mid * mid > 0.0 else (mid, hi)
+    gen = rng(76)
+    points = {
+        PencilKind.KREISS_CONTINUOUS: [complex(hi * (1 + k * 1e-15), 1.0) for k in range(-20, 400)],
+        PencilKind.KREISS_DISCRETE: [
+            (1 + int(gen.integers(-2, 8)) * 2.0**-52) * np.exp(1j * gen.uniform(-np.pi, np.pi))
+            for _ in range(1000)
+        ],
+    }
+    for kind, zs in points.items():
+        obj = _stable(kind)
+        accepted = 0
+        for z in zs:
+            try:
+                check_start(kind, z)
+            except InfeasibleStart:
+                continue
+            objective_value_grad(obj, localopt._unpack(kind, localopt._pack(kind, z)))
+            accepted += 1
+        assert 0.5 * len(zs) <= accepted < len(zs)

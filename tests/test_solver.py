@@ -1,6 +1,7 @@
 """End-to-end solver behavior: fast paths, restarts, invariants, determinism."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -67,6 +68,27 @@ def test_infeasible_starts_rejected():
         kreiss_discrete(two_basin_discrete(), [0.5])
 
 
+@pytest.mark.parametrize("start", [1e-200 + 0j, 1e-170 + 1j])
+def test_continuous_start_whose_square_underflows_is_rejected_by_name(start):
+    # Re z > 0 holds, but Re z * Re z underflows: every descent used to drop
+    # such a start, and the solve raised a RuntimeError that named no start
+    a = np.array([[-1.0, 4.0], [0.0, -2.0]])
+    with pytest.raises(InfeasibleStart, match=re.escape(str(start))):
+        kreiss_continuous(a, [start])
+
+
+@pytest.mark.parametrize(
+    "solve, a",
+    [
+        (kreiss_continuous, np.array([[-0.5, 5.0], [0.0, -0.5]])),
+        (kreiss_discrete, np.array([[0.9, 0.8], [0.0, 0.5]])),
+    ],
+)
+def test_solve_without_starts_is_rejected(solve, a):
+    with pytest.raises(ValueError, match="at least one starting point"):
+        solve(a, [])
+
+
 def test_continuous_matches_oracle():
     a = np.array([[-0.5, 5.0], [0.0, -0.5]])
     res = kreiss_continuous(a, [1 + 1j])
@@ -75,7 +97,7 @@ def test_continuous_matches_oracle():
     _, v = grid_min(obj, GridSpec((1e-3, 6.0, -6.0, 6.0), 200, 200))
     assert_close(res.quantity, 1.0 / v, rel=1e-8)
     # upper-bound soundness: gamma_final is the objective at the minimizer
-    val, _, _ = objective_value_grad(obj, res.minimizer)
+    val, _ = objective_value_grad(obj, res.minimizer)
     assert val == res.gamma_final
 
 
