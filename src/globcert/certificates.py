@@ -11,12 +11,14 @@ one that leaves below the floor reads pi^2, the maximum, so eigenvalues
 entering or leaving the half-plane cause no jump.  The value is zero exactly
 when the ray meets the gamma-level set (or a lower one) of the underlying
 singular-value surface beyond the floor, and every near-axis eigenvalue
-nominating such a crossing is verified by one direct sigma_min evaluation,
-which must come within ``VERIFY_TOL`` relative of gamma, before it may force
-the value to zero.  That direct recheck replaces the structured eigensolver
-backup pass: a nominated point is only useful if the objective there is at
-most gamma, and the recheck answers exactly that, immune to rounding in the
-eigensolve.
+nominating such a crossing is verified by a direct evaluation of the
+objective at the nominated point ``r e^{i theta}``, which must come within
+``VERIFY_TOL`` relative of gamma, before it may force the value to zero.
+The recheck is ``localopt.objective_values``, the formula the descents
+minimize, applied to a row's nominated radii at once.  That direct recheck
+replaces the structured eigensolver backup pass: a nominated point is only
+useful if the objective there is at most gamma, and the recheck answers
+exactly that, immune to rounding in the eigensolve.
 
 A sample costs one eigensolve of the 2n x 2n reduced matrix plus its
 rechecks.  The nomination tolerance ``IMAG_TOL`` and the test for an
@@ -43,6 +45,7 @@ from typing import Optional
 import numpy as np
 
 from .linalg import as_complex_matrix
+from .localopt import objective_values
 from .pencils import (
     NearSingularSecondMember,
     PencilConstants,
@@ -51,9 +54,6 @@ from .pencils import (
     reduced_dtu_matrix,
     reduced_kc_matrix,
     reduced_kd_matrix,
-    sigma_f,
-    sigma_g,
-    sigma_h,
 )
 
 __all__ = [
@@ -73,7 +73,8 @@ __all__ = [
 PI_SQ = math.pi * math.pi
 _TINY = np.finfo(float).tiny
 
-# Bytes of reduced matrices stacked into one eigensolve call.
+# Bytes of matrices stacked into one eigensolve or SVD call: the reduced
+# matrices here, and the objective's matrices in ``localopt.objective_values``.
 CHUNK_BYTES = 1 << 20
 
 # An eigenvalue within IMAG_TOL times the family's bound on the reduced
@@ -95,7 +96,7 @@ class NearZeroPencilEigenvalue(ArithmeticError):
 
 
 class NoAcceptedCandidates(RuntimeError):
-    """All nominated level-set radii failed the direct sigma_min recheck."""
+    """All nominated level-set radii failed the direct objective recheck."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -127,15 +128,6 @@ class CertificateValue:
     @property
     def is_zero(self) -> bool:
         return self.value == 0.0 and any(c.accepted for c in self.candidates)
-
-
-def _recheck(kind, a, b, r: float, theta: float) -> float:
-    """The family's objective at the nominated point ``r e^{i theta}``, from one SVD."""
-    if kind is PencilKind.KREISS_CONTINUOUS:
-        return sigma_g(a, r, theta)
-    if kind is PencilKind.KREISS_DISCRETE:
-        return sigma_h(a, r, theta)
-    return sigma_f(a, b, r, theta)
 
 
 def _eval_chunk(kind, a, b, gamma, thetas: list[float], const) -> list[CertificateValue]:
@@ -186,8 +178,9 @@ def _eval_chunk(kind, a, b, gamma, thetas: list[float], const) -> list[Certifica
                 f"at theta={theta!r}"
             )
         candidates: list[CandidatePoint] = []
-        for r in np.sort(mu[i, flagged[i]].real).tolist():
-            verified = _recheck(kind, a, b, r, theta)
+        radii = np.sort(mu[i, flagged[i]].real)
+        rechecks = objective_values(kind, a, b, radii * np.exp(1j * theta))
+        for r, verified in zip(radii.tolist(), rechecks.tolist()):
             accepted = verified <= gamma * (1.0 + VERIFY_TOL)
             if candidates and abs(r - candidates[-1].r) <= 1e-10 * max(1.0, r):
                 # radii within 1e-10 relative merge, keeping the smaller recheck

@@ -92,14 +92,14 @@ def svd_triplet(m: np.ndarray) -> tuple[SingularTriplet, np.ndarray]:
     return trip, s
 
 
-def sigma_min(m) -> float:
-    """Smallest singular value only (no vectors)."""
+def sigma_min(m) -> np.ndarray:
+    """Smallest singular value of each matrix of a stack (no vectors)."""
     m = np.asarray(m)
     try:
-        return float(np.linalg.svd(m, compute_uv=False)[-1])
+        return np.linalg.svd(m, compute_uv=False)[..., -1]
     except np.linalg.LinAlgError as exc:
         raise DecompositionError(
-            f"SVD failed to converge for a {m.shape[0]}x{m.shape[1]} matrix"
+            f"SVD failed to converge for a stack of {m.shape[-2]}x{m.shape[-1]} matrices"
         ) from exc
 
 

@@ -1,29 +1,44 @@
-"""Local minimization of the three two-variable singular-value objectives.
+"""The three two-variable singular-value objectives, and their local minimization.
 
-Values and gradients come from the singular-triplet identity: for a matrix
-function F of a real parameter t, the derivative of sigma_min(F) along t is
+Each objective is sigma_min of one matrix at the point z, over a divisor:
+
+* continuous-time transient growth: ``sigma_min(zI - A) / Re z``
+* discrete-time transient growth:   ``sigma_min(zI - A) / (|z| - 1)``
+* distance to uncontrollability:    ``sigma_min([A - zI, B])``
+
+This module is the one home of that formula.  ``objective_values``
+evaluates it at many points, with value-only SVDs, for the certificate's
+recheck of each nominated level-set point and for the oracle's grids and
+ray scans.  ``objective_value_grad`` returns ``(value, grad)`` at one point
+from one full SVD, for the descents; both build the matrix with the same
+code and divide by the same divisor.
+
+Gradients come from the singular-triplet identity: for a matrix function F
+of a real parameter t, the derivative of sigma_min(F) along t is
 ``Re(u* dF/dt v)`` with u, v the unit singular vectors of sigma_min.  The
 continuous-time and uncontrollability objectives are minimized in Cartesian
 coordinates, the discrete-time one in polar coordinates.
-``objective_value_grad`` returns ``(value, grad)`` from one SVD.
 
 This module holds the package's one feasibility rule, and the solver and the
 command line ask ``check_start`` rather than test points themselves.  A
-continuous-time point needs Re z > 0 and also Re z · Re z > 0, since the
-gradient divides by (Re z)²: a start such as 1e-200 is infeasible.  A
-discrete-time point needs |z| > 1; every point is feasible for the
-uncontrollability objective.  A start must also stay feasible once rounded
-into the working parameters below.  Feasibility is kept by smooth
-reparametrization (x = e^w for Re z > 0, r = 1 + e^w for |z| > 1), so
-iterates can never leave the feasible region and no projection nonsmoothness
-is introduced.
+continuous-time point needs Re z > 0 and also a normal (not subnormal)
+Re z · Re z, since the gradient divides by (Re z)²: starts such as 1e-160
+and 1e-200 are infeasible.  A discrete-time point needs |z| > 1; every
+point is feasible for the uncontrollability objective.  A start must also
+stay feasible once rounded into the working parameters below.  Feasibility
+is kept by smooth reparametrization (x = e^w for Re z > 0, r = 1 + e^w for
+|z| > 1), so iterates can never leave the feasible region and no projection
+nonsmoothness is introduced.
 
 The search itself is a two-variable BFGS with backtracking line search;
-Hessians are not used.  Its cost varies widely: without the floor stop below,
-Kahan(60)'s restarts took 10 to 127 evaluations each, and its descent from
-the origin ran to the ``MAX_ITER = 200`` cap.  A descent stops when the
-gradient vanishes relative to the value, when the step stalls, or when the
-value reaches the objective's noise floor ``Objective.floor``.  For the
+Hessians are not used.  Its cost varies widely: without the floor stop
+below, Kahan(60)'s restarts took 10 to 127 evaluations each, and its descent
+from the origin ran to the ``MAX_ITER = 200`` cap.  A trial point that
+overflows or leaves the feasible region shrinks the step to at most a unit
+move in the working parameters, so a start such as 1e-150, whose first
+working gradient is about -1e150, still takes a step.  A descent stops when
+the gradient vanishes relative to the value, when the step stalls, or when
+the value reaches the objective's noise floor ``Objective.floor``.  For the
 uncontrollability objective that floor is 1e-12·max(‖[A B]‖₂, 1): below it
 sigma_min is rounding noise and the pair is numerically uncontrollable.  The
 Kreiss objectives are always positive, and their floor is 0.
@@ -38,12 +53,13 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
-from .linalg import as_complex_matrix, norm2, svd_triplet
+from .linalg import as_complex_matrix, norm2, sigma_min, svd_triplet
 from .pencils import PencilKind
 
 __all__ = [
@@ -55,6 +71,7 @@ __all__ = [
     "descend",
     "minimize",
     "objective_value_grad",
+    "objective_values",
 ]
 
 # The stop tests of ``descend``; its docstring says what each one bounds.
@@ -83,14 +100,12 @@ class Objective:
     kind: PencilKind
     a: np.ndarray
     b: Optional[np.ndarray] = None
-    eye: np.ndarray = field(init=False, repr=False, compare=False)
     floor: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "a", as_complex_matrix(self.a))
         if self.a.shape[0] != self.a.shape[1]:
             raise ValueError(f"A must be square, got {self.a.shape}")
-        object.__setattr__(self, "eye", np.eye(self.a.shape[0], dtype=np.complex128))
         floor = 0.0
         if self.kind is PencilKind.DIST_UNCONTROLLABLE:
             if self.b is None:
@@ -114,18 +129,24 @@ class LocalMin:
     converged: bool = True
 
 
+# The one feasibility rule of the package: per objective, the conditions a
+# point must meet, each with the reason a point that fails it breaks the
+# rule.  Each test takes one point or an array of points.  The
+# continuous-time gradient divides by (Re z)², which must not underflow to 0
+# or to a subnormal number, whose reciprocal overflows.
+_RULE = {
+    PencilKind.KREISS_CONTINUOUS: (
+        ("Re z <= 0", lambda z: z.real > 0.0),
+        ("Re z * Re z underflows", lambda z: z.real * z.real >= sys.float_info.min),
+    ),
+    PencilKind.KREISS_DISCRETE: (("|z| <= 1", lambda z: abs(z) > 1.0),),
+    PencilKind.DIST_UNCONTROLLABLE: (),
+}
+
+
 def _infeasibility(kind: PencilKind, z: complex) -> Optional[str]:
-    # the one feasibility rule of the package, as the reason z breaks it;
-    # the continuous-time gradient divides by (Re z)², which must not
-    # underflow to 0
-    if kind is PencilKind.KREISS_CONTINUOUS:
-        if not z.real > 0.0:
-            return "Re z <= 0"
-        if not z.real * z.real > 0.0:
-            return "Re z * Re z underflows to 0"
-    elif kind is PencilKind.KREISS_DISCRETE and not abs(z) > 1.0:
-        return "|z| <= 1"
-    return None
+    """The reason ``z`` breaks the feasibility rule, or None."""
+    return next((reason for reason, holds in _RULE[kind] if not holds(z)), None)
 
 
 def check_start(kind: PencilKind, z) -> complex:
@@ -144,6 +165,58 @@ def check_start(kind: PencilKind, z) -> complex:
     return z
 
 
+def _matrices(kind: PencilKind, a: np.ndarray, b, zs: np.ndarray) -> np.ndarray:
+    """The family's matrix at each point of the 1-D array ``zs``, as a stack:
+    zI - A for the Kreiss objectives, [A - zI, B] for the uncontrollability one.
+
+    The stack is written in place, so it takes no temporary of its own size.
+    """
+    n = a.shape[0]
+    eye = np.eye(n, dtype=np.complex128)
+    if kind is PencilKind.DIST_UNCONTROLLABLE:
+        out = np.empty((len(zs), n, n + b.shape[1]), dtype=np.complex128)
+        shift = np.multiply(zs[:, None, None], eye, out=out[:, :, :n])
+        np.subtract(a, shift, out=shift)
+        out[:, :, n:] = b
+        return out
+    out = np.multiply(zs[:, None, None], eye)
+    return np.subtract(out, a, out=out)
+
+
+def _divisor(kind: PencilKind, z):
+    """What sigma_min is divided by at ``z`` (a point or an array): Re z, |z| - 1 or 1."""
+    if kind is PencilKind.KREISS_CONTINUOUS:
+        return z.real
+    if kind is PencilKind.KREISS_DISCRETE:
+        return abs(z) - 1.0
+    return 1.0
+
+
+def objective_values(kind: PencilKind, a: np.ndarray, b, zs) -> np.ndarray:
+    """The objective at each point of ``zs``, +inf at the infeasible ones.
+
+    ``a`` and ``b`` are validated complex matrices, ``b`` None for the
+    Kreiss objectives.  Each sigma_min comes from a value-only SVD of the
+    matrix that ``objective_value_grad`` builds.  The SVDs run on stacks of
+    at most ``certificates.CHUNK_BYTES`` bytes of matrices, and no value
+    depends on where the stacks split.
+    """
+    from .certificates import CHUNK_BYTES  # certificates imports this module
+
+    zs = np.asarray(zs, dtype=np.complex128).reshape(-1)
+    out = np.full(zs.shape, np.inf)
+    feasible = np.ones(zs.shape, dtype=bool)
+    for _, holds in _RULE[kind]:
+        feasible &= holds(zs)
+    ok = np.flatnonzero(feasible)
+    cols = a.shape[1] + (b.shape[1] if kind is PencilKind.DIST_UNCONTROLLABLE else 0)
+    step = max(1, CHUNK_BYTES // (16 * a.shape[0] * cols))
+    for i in range(0, len(ok), step):
+        idx = ok[i : i + step]
+        out[idx] = sigma_min(_matrices(kind, a, b, zs[idx])) / _divisor(kind, zs[idx])
+    return out
+
+
 def objective_value_grad(obj: Objective, z: complex):
     """Objective value and analytic gradient at a strictly feasible point.
 
@@ -157,33 +230,23 @@ def objective_value_grad(obj: Objective, z: complex):
     reason = _infeasibility(obj.kind, z)
     if reason is not None:
         raise InfeasiblePoint(f"z={z!r} is infeasible for {obj.kind.value} ({reason})")
-    n = obj.a.shape[0]
-    eye = obj.eye
+    trip = svd_triplet(_matrices(obj.kind, obj.a, obj.b, np.array([z]))[0])[0]
+    d = _divisor(obj.kind, z)
+    value = trip.sigma / d
 
     if obj.kind is PencilKind.KREISS_CONTINUOUS:
-        x = z.real
-        trip = svd_triplet(z * eye - obj.a)[0]
         uv = complex(np.vdot(trip.u, trip.v))  # u* v
         s_x, s_y = uv.real, -uv.imag
-        value = trip.sigma / x
-        grad = np.array([(x * s_x - trip.sigma) / (x * x), s_y / x])
-        return value, grad
+        return value, np.array([(d * s_x - trip.sigma) / (d * d), s_y / d])
 
     if obj.kind is PencilKind.KREISS_DISCRETE:
         r, theta = abs(z), cmath.phase(z)
-        trip = svd_triplet(z * eye - obj.a)[0]
         w = complex(np.exp(1j * theta) * np.vdot(trip.u, trip.v))  # e^{i theta} u* v
         s_r, s_t = w.real, -r * w.imag
-        value = trip.sigma / (r - 1.0)
-        grad = np.array(
-            [(s_r * (r - 1.0) - trip.sigma) / (r - 1.0) ** 2, s_t / (r - 1.0)]
-        )
-        return value, grad
+        return value, np.array([(s_r * d - trip.sigma) / d**2, s_t / d])
 
-    trip = svd_triplet(np.hstack([obj.a - z * eye, obj.b]))[0]
-    uv1 = complex(np.vdot(trip.u, trip.v[:n]))  # u* v_1, first n rows of v
-    grad = np.array([-uv1.real, uv1.imag])
-    return trip.sigma, grad
+    uv1 = complex(np.vdot(trip.u, trip.v[: obj.a.shape[0]]))  # u* v_1, first n rows of v
+    return value, np.array([-uv1.real, uv1.imag])
 
 
 def _pack(kind: PencilKind, z: complex) -> np.ndarray:
@@ -245,7 +308,10 @@ def descend(obj: Objective, z0: complex):
             try:
                 f_try, ng_try = objective_value_grad(obj, _unpack(obj.kind, p_try))
             except (OverflowError, InfeasiblePoint):
-                step *= 0.5
+                # a trial out of range: halve the step, and move at most a
+                # unit distance, so that a huge gradient far from the
+                # minimizer still finds a step within 50 trials
+                step = min(0.5 * step, 1.0 / float(np.linalg.norm(d)))
                 continue
             if f_try <= f + 1e-4 * step * slope:
                 f_new = f_try

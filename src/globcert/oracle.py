@@ -1,11 +1,15 @@
 """Brute-force reference computations used by tests and spot checks.
 
-These are intentionally slow and simple, sharing nothing with the solver
-path beyond the basic linear-algebra kernels, so that agreement between the
-two is evidence rather than tautology.  Grid minimization optionally
-polishes the best grid points with the local optimizer: the grid certifies
-basin coverage while the optimizer's own correctness is certified separately
-by finite differences.
+These are intentionally slow and simple.  They share the objective
+evaluator ``localopt.objective_values`` with the solver, whose formula is
+tested against explicitly built matrices, and nothing else of its search:
+no pencil, certificate or interpolant.  So agreement between a grid or ray
+scan and a certified solve is evidence about the certificate rather than
+tautology.  The grid is evaluated in stacks of at most
+``certificates.CHUNK_BYTES``, so its memory does not grow with the
+resolution.  Grid minimization optionally polishes the best grid points
+with the local optimizer: the grid certifies basin coverage while the
+optimizer's own correctness is certified separately by finite differences.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from .linalg import as_complex_matrix, norm2
-from .localopt import Objective, minimize
+from .localopt import Objective, minimize, objective_values
 from .pencils import PencilKind
 
 __all__ = [
@@ -55,28 +59,6 @@ class GridSpec:
         return (uu + 1j * vv).ravel()
 
 
-def _objective_values(obj: Objective, zs: np.ndarray) -> np.ndarray:
-    """sigma_min objective at many points via one stacked SVD call."""
-    n = obj.a.shape[0]
-    eye = np.eye(n, dtype=np.complex128)
-    if obj.kind is PencilKind.KREISS_CONTINUOUS:
-        mats = zs[:, None, None] * eye - obj.a
-        s = np.linalg.svd(mats, compute_uv=False)[:, -1]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            vals = np.where(zs.real > 0.0, s / zs.real, np.inf)
-        return vals
-    if obj.kind is PencilKind.KREISS_DISCRETE:
-        mats = zs[:, None, None] * eye - obj.a
-        s = np.linalg.svd(mats, compute_uv=False)[:, -1]
-        r = np.abs(zs)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            vals = np.where(r > 1.0, s / (r - 1.0), np.inf)
-        return vals
-    blocks = np.broadcast_to(obj.b, (len(zs),) + obj.b.shape)
-    mats = np.concatenate([obj.a - zs[:, None, None] * eye, blocks], axis=2)
-    return np.linalg.svd(mats, compute_uv=False)[:, -1]
-
-
 def grid_min(obj: Objective, spec: GridSpec) -> tuple[complex, float]:
     """Minimum of the objective over the grid, optionally polished.
 
@@ -84,7 +66,7 @@ def grid_min(obj: Objective, spec: GridSpec) -> tuple[complex, float]:
     separated grid points and the best result wins.
     """
     zs = spec.points()
-    vals = _objective_values(obj, zs)
+    vals = objective_values(obj.kind, obj.a, obj.b, zs)
     finite = np.isfinite(vals)
     zs, vals = zs[finite], vals[finite]
     order = np.argsort(vals, kind="stable")
@@ -134,7 +116,7 @@ def ray_scan(
         raise ValueError("radii must be positive")
     zs = r * np.exp(1j * theta)
     obj = Objective(kind, a, as_complex_matrix(b) if b is not None else None)
-    diff = _objective_values(obj, zs) - gamma
+    diff = objective_values(kind, obj.a, obj.b, zs) - gamma
     if np.any(np.abs(diff) <= 1e-9):
         return True
     return bool(np.any(diff[:-1] * diff[1:] < 0.0))

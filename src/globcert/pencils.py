@@ -2,12 +2,9 @@
 
 Each family pairs a Hamiltonian first member with a skew-Hamiltonian second
 member whose eigenvalues ``i*r`` on the positive imaginary axis mark radii
-where a target singular-value function crosses the level ``gamma`` along the
-ray at angle ``theta``:
-
-* continuous-time transient growth: ``sigma_min((r e^{i theta} I - A) / (r cos theta))``
-* discrete-time transient growth:   ``sigma_min((r e^{i theta} I - A) / (r - 1))``
-* distance to uncontrollability:    ``sigma_min([A - r e^{i theta} I, B])``
+where the family's singular-value objective (listed in ``localopt``, which
+also evaluates it) crosses the level ``gamma`` along the ray at angle
+``theta``.
 
 The reduced forms are built from explicit closed-form inverses of the second
 member, never by numerical inversion, so the singularity guard is a pure
@@ -30,7 +27,7 @@ from typing import Optional
 
 import numpy as np
 
-from .linalg import as_complex_matrix, sigma_min
+from .linalg import as_complex_matrix
 
 __all__ = [
     "NearSingularSecondMember",
@@ -46,9 +43,6 @@ __all__ = [
     "reduced_dtu_matrix",
     "reduced_kc_matrix",
     "reduced_kd_matrix",
-    "sigma_f",
-    "sigma_g",
-    "sigma_h",
 ]
 
 SINGULARITY_GUARD = 1e-12
@@ -350,34 +344,3 @@ def build_dtu_pencil(a, b, gamma: float, theta: float) -> tuple[PencilPair, Redu
         PencilPair(lhs, rhs, kind, gamma, theta),
         ReducedPencil(reduced, kind, gamma, theta),
     )
-
-
-def sigma_g(a, r: float, theta: float) -> float:
-    """Continuous-time objective ``sigma_min((r e^{i theta} I - A)/(r cos theta))``.
-
-    Returns +inf on the imaginary axis (r*cos(theta) == 0), where the
-    objective blows up and no finite level set can reach.
-    """
-    a = np.asarray(a, dtype=np.complex128)
-    denom = r * np.cos(theta)
-    if denom == 0.0:
-        return np.inf
-    z = r * np.exp(1j * theta)
-    return sigma_min((z * np.eye(a.shape[0]) - a) / denom)
-
-
-def sigma_h(a, r: float, theta: float) -> float:
-    """Discrete-time objective ``sigma_min((r e^{i theta} I - A)/(r - 1))``."""
-    a = np.asarray(a, dtype=np.complex128)
-    if r == 1.0:
-        return np.inf
-    z = r * np.exp(1j * theta)
-    return sigma_min((z * np.eye(a.shape[0]) - a) / (r - 1.0))
-
-
-def sigma_f(a, b, r: float, theta: float) -> float:
-    """Uncontrollability objective ``sigma_min([A - r e^{i theta} I, B])``."""
-    a = np.asarray(a, dtype=np.complex128)
-    b = np.asarray(b, dtype=np.complex128)
-    z = r * np.exp(1j * theta)
-    return sigma_min(np.hstack([a - z * np.eye(a.shape[0]), b]))

@@ -451,7 +451,7 @@ def _trivial(status: SolveStatus, quantity: float, gamma: float, t0: float) -> S
 def kreiss_continuous(a, starts, cfg: SolverConfig = SolverConfig()) -> SolveResult:
     """Continuous-time transient-growth bound of ``a`` (its Kreiss constant).
 
-    ``starts`` are initial points with Re z > 0 and Re z · Re z > 0; see
+    ``starts`` are initial points with Re z > 0 and a normal Re z · Re z; see
     ``localopt.check_start``.  Returns quantity K with K = 1/gamma_final, or
     the trivial statuses for normal/unstable inputs.
     """

@@ -23,7 +23,7 @@ from globcert.certificates import eval_f, eval_g, eval_h
 from globcert.chebinterp import Aborted, approximate
 from globcert.cli import result_to_dict
 from globcert.linalg import cond2, eigenvalues, norm2, spectra_match
-from globcert.localopt import Objective
+from globcert.localopt import Objective, objective_values
 from globcert.oracle import GridSpec, grid_min, psa_grid_estimate, ray_scan, transient_samples
 from globcert.pencils import (
     NearSingularSecondMember,
@@ -31,9 +31,6 @@ from globcert.pencils import (
     build_dtu_pencil,
     build_kc_pencil,
     build_kd_pencil,
-    sigma_f,
-    sigma_g,
-    sigma_h,
 )
 from globcert.solver import SolveStatus, SolverConfig, dtu, kreiss_continuous, kreiss_discrete
 from globcert.solver import _Driver
@@ -73,17 +70,17 @@ def test_c01_pencil_round_trip():
             if kind is PencilKind.KREISS_CONTINUOUS:
                 mat = (z * np.eye(n) - a) / (r * np.cos(theta))
                 build = lambda s: build_kc_pencil(a, s, theta)
-                direct = lambda rr: sigma_g(a, rr, theta)
+                direct = lambda rr: objective_values(kind, a, None, [rr * np.exp(1j * theta)])[0]
                 valid = lambda rr: rr > 1e-6
             elif kind is PencilKind.KREISS_DISCRETE:
                 mat = (z * np.eye(n) - a) / (r - 1.0)
                 build = lambda s: build_kd_pencil(a, s, theta)
-                direct = lambda rr: sigma_h(a, rr, theta)
+                direct = lambda rr: objective_values(kind, a, None, [rr * np.exp(1j * theta)])[0]
                 valid = lambda rr: rr > 1 + 1e-6
             else:
                 mat = np.hstack([a - z * np.eye(n), b])
                 build = lambda s: build_dtu_pencil(a, b, s, theta)
-                direct = lambda rr: sigma_f(a, b, rr, theta)
+                direct = lambda rr: objective_values(kind, a, b, [rr * np.exp(1j * theta)])[0]
                 valid = lambda rr: rr > 1e-6
             # direction (i): every singular value yields i*r in the spectrum
             for s in np.linalg.svd(mat, compute_uv=False):
@@ -214,7 +211,7 @@ def test_c04_certificate_ray_scan_equivalence():
                 th_lo, th_hi = -np.pi, np.pi
             gamma = float(gen.uniform(0.2, 0.95))
             if kind is PencilKind.DIST_UNCONTROLLABLE:
-                gamma *= sigma_f(a, b, 0.0, 0.0)  # keep below the center value
+                gamma *= objective_values(kind, a, b, [0j])[0]  # keep below the center value
             for th in gen.uniform(th_lo, th_hi, 50):
                 trials += 1
                 cert_zero = evaluate(gamma, float(th)).value == 0.0

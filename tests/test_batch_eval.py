@@ -20,6 +20,7 @@ from globcert.certificates import (
 )
 from globcert.demos import grcar
 from globcert.linalg import spectral_abscissa, spectral_radius
+from globcert.localopt import objective_values
 from globcert.pencils import (
     NearSingularSecondMember,
     PencilKind,
@@ -27,9 +28,6 @@ from globcert.pencils import (
     reduced_dtu_matrix,
     reduced_kc_matrix,
     reduced_kd_matrix,
-    sigma_f,
-    sigma_g,
-    sigma_h,
 )
 from globcert.solver import SolverConfig, dtu, kreiss_continuous
 
@@ -76,11 +74,7 @@ def _reference_certificate(kind, a, b, gamma, theta, const):
     flagged = np.sort(mu[(dist <= tol) & (mu.real > r_floor)].real)
 
     def verify(r):
-        if kind is KC:
-            return sigma_g(a, r, theta)
-        if kind is KD:
-            return sigma_h(a, r, theta)
-        return sigma_f(a, b, r, theta)
+        return float(objective_values(kind, a, b, [r * np.exp(1j * theta)])[0])
 
     cands, merges = [], 0
     for r in flagged:

@@ -1,12 +1,13 @@
 """Objectives and the quasi-Newton minimizer: gradients, feasibility, descent."""
 
 import re
+import sys
 
 import numpy as np
 import pytest
 
 import globcert.localopt as localopt
-from conftest import assert_close, random_complex, rng, stable_continuous
+from conftest import assert_close, random_complex, rng, stable_continuous, stable_discrete
 from globcert.linalg import smallest_singular_triplet
 from globcert.localopt import (
     InfeasiblePoint,
@@ -16,6 +17,7 @@ from globcert.localopt import (
     descend,
     minimize,
     objective_value_grad,
+    objective_values,
 )
 from globcert.oracle import GridSpec, grid_min
 from globcert.pencils import PencilKind
@@ -48,6 +50,34 @@ def test_objective_values_bitwise_equal_to_smallest_singular_value():
         for kind, bm, w, m, scale in cases:
             value, _ = objective_value_grad(Objective(kind, a, bm), w)
             assert value == smallest_singular_triplet(m).sigma / scale
+
+
+def test_objective_values_are_infinite_off_the_feasible_region():
+    a = np.array([[-1.0, 4.0], [0.0, -2.0]], dtype=complex)
+    kc = objective_values(PencilKind.KREISS_CONTINUOUS, a, None, [-1 + 1j, 2j, -0.0, 1e-160, 1 + 1j])
+    assert np.all(np.isinf(kc[:4])) and np.isfinite(kc[4])
+    kd = objective_values(PencilKind.KREISS_DISCRETE, 0.5 * a, None, [0.9j, 1.0, -0.5, 1.5])
+    assert np.all(np.isinf(kd[:3])) and np.isfinite(kd[3])
+
+
+def test_objective_values_agree_with_objective_value_grad():
+    # one matrix builder for both; a value-only SVD may round differently
+    gen = rng(19)
+    for n in (1, 3, 6):
+        instances = (
+            (PencilKind.KREISS_CONTINUOUS, stable_continuous(gen, n), None),
+            (PencilKind.KREISS_DISCRETE, stable_discrete(gen, n), None),
+            (PencilKind.DIST_UNCONTROLLABLE, random_complex(gen, n), random_complex(gen, n, 2)),
+        )
+        for kind, a, b in instances:
+            obj = Objective(kind, a, b)
+            if kind is PencilKind.KREISS_DISCRETE:
+                zs = (1.05 + gen.uniform(0, 2, 20)) * np.exp(1j * gen.uniform(-np.pi, np.pi, 20))
+            else:
+                zs = gen.uniform(0.01, 3, 20) + 1j * gen.uniform(-2, 2, 20)
+            values = objective_values(kind, obj.a, obj.b, zs)
+            for z, v in zip(zs, values):
+                assert_close(v, objective_value_grad(obj, z)[0], rel=1e-14, label=f"{kind} {z}")
 
 
 def test_dtu_scalar_value_and_gradient():
@@ -259,12 +289,12 @@ def test_check_start_names_the_start_and_the_rule(kind, z, rule):
 def test_every_accepted_start_is_evaluated():
     # starts at the edge of the feasible region: where check_start accepts
     # one, the descent's first point, the start rounded into its working
-    # parameters, is feasible too.  Just above the smallest x with x*x > 0,
-    # exp(log(x)) can round below it
-    lo, hi = 1e-163, 1e-161
+    # parameters, is feasible too.  Just above the smallest x whose square
+    # is a normal number, exp(log(x)) can round below it
+    lo, hi = 1e-155, 1e-153
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        lo, hi = (lo, mid) if mid * mid > 0.0 else (mid, hi)
+        lo, hi = (lo, mid) if mid * mid >= sys.float_info.min else (mid, hi)
     gen = rng(76)
     points = {
         PencilKind.KREISS_CONTINUOUS: [complex(hi * (1 + k * 1e-15), 1.0) for k in range(-20, 400)],

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from conftest import assert_close
+from conftest import assert_close, rng, stable_continuous
+from globcert import certificates
 from globcert.localopt import Objective
 from globcert.oracle import GridSpec, grid_min, psa_grid_estimate, ray_scan, transient_samples
 from globcert.pencils import PencilKind
@@ -107,3 +108,19 @@ def test_psa_grid_estimate_jordan_block():
     # is a lower bound and must exceed the sqrt(eps) leading-order estimate
     exact = np.sqrt(0.01 * 1.01)
     assert 0.09 <= est <= exact + 1e-9
+
+
+def test_grid_min_stacks_stay_within_the_chunk_budget(monkeypatch):
+    # 40,000 matrices of order 30 would take 576 MB in one SVD call
+    obj = Objective(PencilKind.KREISS_CONTINUOUS, stable_continuous(rng(31), 30))
+    svd, shapes = np.linalg.svd, []
+
+    def recording_svd(m, *args, **kwargs):
+        shapes.append(np.shape(m))
+        return svd(m, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording_svd)
+    grid_min(obj, GridSpec((1e-3, 4.0, -4.0, 4.0), 200, 200, polish=False))
+    stacked = [shape for shape in shapes if len(shape) == 3]
+    assert sum(shape[0] for shape in stacked) == 200 * 200
+    assert max(16 * np.prod(shape) for shape in stacked) <= certificates.CHUNK_BYTES

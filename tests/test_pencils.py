@@ -5,6 +5,7 @@ import pytest
 
 from conftest import assert_close, random_complex, rng
 from globcert.linalg import cond2, eigenvalues, norm2, spectra_match
+from globcert.localopt import objective_values
 from globcert.pencils import (
     NearSingularSecondMember,
     NonpositiveGamma,
@@ -16,9 +17,6 @@ from globcert.pencils import (
     reduced_dtu_matrix,
     reduced_kc_matrix,
     reduced_kd_matrix,
-    sigma_f,
-    sigma_g,
-    sigma_h,
 )
 
 
@@ -206,6 +204,11 @@ def test_spectral_symmetry_about_imaginary_axis():
             assert spectra_match(lam, -lam.conj(), 1e-8 * max(norm2(red.matrix), 1.0))
 
 
+def _direct(kind, a, b, th):
+    """The objective on the ray at angle ``th``, as a function of the radius."""
+    return lambda rr: objective_values(kind, a, b, [rr * np.exp(1j * th)])[0]
+
+
 def test_round_trip_small():
     # direction (i): singular values map to imaginary eigenvalues; (ii) back
     gen = rng(26)
@@ -217,9 +220,9 @@ def test_round_trip_small():
         r = float(gen.uniform(0.3, 2.5))
 
         for kind, builder, direct, valid in (
-            ("kc", lambda s: build_kc_pencil(a, s, th), lambda rr: sigma_g(a, rr, th), lambda rr: rr > 1e-6),
-            ("kd", lambda s: build_kd_pencil(a, s, th), lambda rr: sigma_h(a, rr, th), lambda rr: rr > 1 + 1e-6),
-            ("dtu", lambda s: build_dtu_pencil(a, b, s, th), lambda rr: sigma_f(a, b, rr, th), lambda rr: rr > 1e-6),
+            ("kc", lambda s: build_kc_pencil(a, s, th), _direct(PencilKind.KREISS_CONTINUOUS, a, None, th), lambda rr: rr > 1e-6),
+            ("kd", lambda s: build_kd_pencil(a, s, th), _direct(PencilKind.KREISS_DISCRETE, a, None, th), lambda rr: rr > 1 + 1e-6),
+            ("dtu", lambda s: build_dtu_pencil(a, b, s, th), _direct(PencilKind.DIST_UNCONTROLLABLE, a, b, th), lambda rr: rr > 1e-6),
         ):
             rr = r + 1.0 if kind == "kd" else r
             z = rr * np.exp(1j * th)

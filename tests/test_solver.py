@@ -68,13 +68,25 @@ def test_infeasible_starts_rejected():
         kreiss_discrete(two_basin_discrete(), [0.5])
 
 
-@pytest.mark.parametrize("start", [1e-200 + 0j, 1e-170 + 1j])
+@pytest.mark.parametrize("start", [1e-200 + 0j, 1e-170 + 1j, 1e-160 + 0j])
 def test_continuous_start_whose_square_underflows_is_rejected_by_name(start):
     # Re z > 0 holds, but Re z * Re z underflows: every descent used to drop
-    # such a start, and the solve raised a RuntimeError that named no start
+    # such a start, and the solve raised a RuntimeError that named no start.
+    # At 1e-160 the square is positive but subnormal: the first gradient was
+    # -inf, and its direction NaN
     a = np.array([[-1.0, 4.0], [0.0, -2.0]])
     with pytest.raises(InfeasibleStart, match=re.escape(str(start))):
         kreiss_continuous(a, [start])
+
+
+def test_continuous_tiny_start_converges():
+    # the first working gradient is about -1e150, so each of the line
+    # search's 50 halved trials overflowed; the descent stopped at its start,
+    # and 50 restarts later the solve returned MaxRestarts with K = 1.65e-99
+    a = np.array([[-1.0, 4.0], [0.0, -2.0]])
+    res = kreiss_continuous(a, [1e-150])
+    assert res.status is SolveStatus.CONVERGED
+    assert_close(res.quantity, 1.0556083778682215, rel=1e-12)
 
 
 @pytest.mark.parametrize(
