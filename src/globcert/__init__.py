@@ -6,10 +6,10 @@ certified globally optimal by adaptive interpolation of one-variable
 angular certificate functions.
 """
 
-from .certificates import CertificateValue, eval_f, eval_g, eval_h
+from .certificates import CertificateValue, eval_certificate
 from .chebinterp import PiecewiseCheb, approximate
 from .localopt import Objective, minimize
-from .pencils import PencilKind, build_dtu_pencil, build_kc_pencil, build_kd_pencil
+from .pencils import PencilKind
 from .solver import (
     SolveResult,
     SolveStatus,
@@ -28,13 +28,8 @@ __all__ = [
     "SolveStatus",
     "SolverConfig",
     "approximate",
-    "build_dtu_pencil",
-    "build_kc_pencil",
-    "build_kd_pencil",
     "dtu",
-    "eval_f",
-    "eval_g",
-    "eval_h",
+    "eval_certificate",
     "kreiss_continuous",
     "kreiss_discrete",
     "minimize",

@@ -44,7 +44,7 @@ from typing import Optional
 
 import numpy as np
 
-from .linalg import as_complex_matrix
+from .linalg import as_complex_matrix, stack_length
 from .localopt import objective_values
 from .pencils import (
     NearSingularSecondMember,
@@ -64,18 +64,11 @@ __all__ = [
     "chunk_length",
     "eval_certificate",
     "eval_certificates",
-    "eval_f",
-    "eval_g",
-    "eval_h",
     "extract_restart_points",
 ]
 
 PI_SQ = math.pi * math.pi
 _TINY = np.finfo(float).tiny
-
-# Bytes of matrices stacked into one eigensolve or SVD call: the reduced
-# matrices here, and the objective's matrices in ``localopt.objective_values``.
-CHUNK_BYTES = 1 << 20
 
 # An eigenvalue within IMAG_TOL times the family's bound on the reduced
 # matrix's 2-norm (``PencilConstants.norm_bound``) of ``i*[r_floor, inf)``
@@ -193,25 +186,10 @@ def _eval_chunk(kind, a, b, gamma, thetas: list[float], const) -> list[Certifica
     return out
 
 
-def eval_g(a, gamma: float, theta: float) -> CertificateValue:
-    """Continuous-time certificate on the ray at ``theta``; zero marks a crossing."""
-    return eval_certificate(PencilKind.KREISS_CONTINUOUS, a, None, gamma, theta)
-
-
-def eval_h(a, gamma: float, theta: float) -> CertificateValue:
-    """Discrete-time certificate; only crossings with radius > 1 count."""
-    return eval_certificate(PencilKind.KREISS_DISCRETE, a, None, gamma, theta)
-
-
-def eval_f(a, b, gamma: float, theta: float) -> CertificateValue:
-    """Uncontrollability certificate over the full plane sweep."""
-    return eval_certificate(PencilKind.DIST_UNCONTROLLABLE, a, b, gamma, theta)
-
-
 def chunk_length(n: int) -> int:
-    """Angles per stacked eigensolve: a stack of reduced matrices of order 2n
-    fills about ``CHUNK_BYTES``, and holds at least one matrix."""
-    return max(1, CHUNK_BYTES // (16 * (2 * n) ** 2))
+    """Angles per stacked eigensolve: reduced matrices of order 2n fill
+    about ``linalg.CHUNK_BYTES``, and a stack holds at least one."""
+    return stack_length(2 * n, 2 * n)
 
 
 def eval_certificates(

@@ -82,8 +82,8 @@ def chebpts(m: int, a: float = -1.0, b: float = 1.0) -> np.ndarray:
 def _dct1(x: np.ndarray) -> np.ndarray:
     """Unnormalized DCT-I: the real FFT of the even extension of ``x``.
 
-    This is the pocketfft algorithm that ``scipy.fft.dct(x, type=1)`` runs,
-    bit for bit, without importing scipy.  Needs ``x.size >= 2``.
+    This is pocketfft's own DCT-I, bit for bit, reached through numpy's
+    FFT alone; the test suite pins the bits.  Needs ``x.size >= 2``.
     """
     return np.fft.rfft(np.concatenate([x, x[-2:0:-1]])).real
 

@@ -89,19 +89,11 @@ def _count(text: str) -> int:
     return value
 
 
-def _default_workers(command: str) -> int:
-    # GLOBCERT_WORKERS follows the rule of --workers; unset or empty means
+def _default_workers() -> int:
     # one worker per CPU that this process may run on
-    env = os.environ.get("GLOBCERT_WORKERS")
-    if not env:
-        if hasattr(os, "sched_getaffinity"):
-            return len(os.sched_getaffinity(0))
-        return os.cpu_count() or 1
-    try:
-        return _count(env)
-    except argparse.ArgumentTypeError as exc:
-        print(f"globcert {command}: error: GLOBCERT_WORKERS: {exc}", file=sys.stderr)
-        raise SystemExit(1) from None
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _add_common(p: argparse.ArgumentParser, with_solver_opts: bool = True):
@@ -177,7 +169,7 @@ def parse_args(argv) -> RunRequest:
             raise SystemExit(1) from None
     cfg = SolverConfig(
         max_restarts=ns.max_restarts,
-        workers=ns.workers if ns.workers is not None else _default_workers(ns.command),
+        workers=ns.workers if ns.workers is not None else _default_workers(),
     )
     return RunRequest(
         command=ns.command,

@@ -1,10 +1,10 @@
 """Dense complex linear-algebra kernels shared by every other module.
 
 Everything here is a thin, contract-enforcing layer over LAPACK via numpy:
-validated matrix construction, smallest singular triplets, eigenvalues of
-general complex matrices, spectral norms/condition numbers, and a multiset
-comparator for spectra.  All functions are pure and safe to call from any
-number of workers.
+validated matrix construction, smallest singular triplets and values,
+eigenvalues of general complex matrices, spectral norms, and the size of
+the stacks that batched LAPACK calls take (``CHUNK_BYTES``).  All functions
+are pure and safe to call from any number of workers.
 """
 
 from __future__ import annotations
@@ -15,27 +15,31 @@ import numpy as np
 
 __all__ = [
     "DecompositionError",
-    "SingularMatrixError",
     "SingularTriplet",
     "as_complex_matrix",
-    "cond2",
     "eigenvalues",
     "is_normal",
     "norm2",
-    "smallest_singular_triplet",
-    "spectra_match",
+    "sigma_min",
     "spectral_abscissa",
     "spectral_radius",
+    "stack_length",
     "svd_triplet",
 ]
+
+# Bytes of matrices stacked into one eigensolve or SVD call: the
+# certificate's reduced matrices, and the objective's matrices.
+CHUNK_BYTES = 1 << 20
 
 
 class DecompositionError(RuntimeError):
     """An eigen/SVD routine failed to converge; message carries dimensions."""
 
 
-class SingularMatrixError(ValueError):
-    """cond2 was asked for a (numerically) singular matrix."""
+def stack_length(rows: int, cols: int) -> int:
+    """Complex rows x cols matrices per stacked LAPACK call: they fill about
+    ``CHUNK_BYTES`` (read when called), and a stack holds at least one."""
+    return max(1, CHUNK_BYTES // (16 * rows * cols))
 
 
 def as_complex_matrix(a) -> np.ndarray:
@@ -68,11 +72,6 @@ class SingularTriplet:
     sigma: float
     u: np.ndarray
     v: np.ndarray
-
-
-def smallest_singular_triplet(m) -> SingularTriplet:
-    """Smallest singular value of ``m`` with its left/right unit vectors."""
-    return svd_triplet(as_complex_matrix(m))[0]
 
 
 def svd_triplet(m: np.ndarray) -> tuple[SingularTriplet, np.ndarray]:
@@ -117,17 +116,6 @@ def eigenvalues(m) -> np.ndarray:
         ) from exc
 
 
-def cond2(m) -> float:
-    """Spectral-norm condition number sigma_max / sigma_min."""
-    m = as_complex_matrix(m)
-    if m.shape[0] != m.shape[1]:
-        raise ValueError(f"cond2 requires a square matrix, got {m.shape}")
-    s = np.linalg.svd(m, compute_uv=False)
-    if s[-1] <= 1e-300:
-        raise SingularMatrixError("matrix is singular to working precision")
-    return float(s[0] / s[-1])
-
-
 def is_normal(m, tol: float = 1e-12) -> bool:
     """True iff ``||m m* - m* m|| <= tol * ||m||^2`` in the spectral norm."""
     m = as_complex_matrix(m)
@@ -148,22 +136,3 @@ def spectral_abscissa(m) -> float:
 def spectral_radius(m) -> float:
     """Max modulus over the eigenvalues of ``m``."""
     return float(np.max(np.abs(eigenvalues(m))))
-
-
-def spectra_match(lam_a, lam_b, tol: float) -> bool:
-    """Compare two spectra as multisets with absolute tolerance ``tol``.
-
-    Greedy nearest-neighbor matching; candidates are pre-sorted
-    lexicographically by (Re, Im) so ties resolve deterministically.
-    """
-    a = sorted(np.asarray(lam_a, dtype=complex), key=lambda z: (z.real, z.imag))
-    b = list(sorted(np.asarray(lam_b, dtype=complex), key=lambda z: (z.real, z.imag)))
-    if len(a) != len(b):
-        return False
-    for z in a:
-        dists = [abs(z - w) for w in b]
-        j = int(np.argmin(dists))
-        if dists[j] > tol:
-            return False
-        b.pop(j)
-    return True

@@ -20,15 +20,15 @@ continuous-time and uncontrollability objectives are minimized in Cartesian
 coordinates, the discrete-time one in polar coordinates.
 
 This module holds the package's one feasibility rule, and the solver and the
-command line ask ``check_start`` rather than test points themselves.  A
-continuous-time point needs Re z > 0 and also a normal (not subnormal)
-Re z · Re z, since the gradient divides by (Re z)²: starts such as 1e-160
-and 1e-200 are infeasible.  A discrete-time point needs |z| > 1; every
-point is feasible for the uncontrollability objective.  A start must also
-stay feasible once rounded into the working parameters below.  Feasibility
-is kept by smooth reparametrization (x = e^w for Re z > 0, r = 1 + e^w for
-|z| > 1), so iterates can never leave the feasible region and no projection
-nonsmoothness is introduced.
+command line ask ``check_start`` rather than test points themselves.  Every
+point must be finite.  A continuous-time point needs Re z > 0 and also a
+normal (not subnormal) Re z · Re z, since the gradient divides by (Re z)²:
+starts such as 1e-160 and 1e-200 are infeasible.  A discrete-time point
+needs |z| > 1; every finite point is feasible for the uncontrollability
+objective.  A start must also stay feasible once rounded into the working
+parameters below.  Feasibility is kept by smooth reparametrization
+(x = e^w for Re z > 0, r = 1 + e^w for |z| > 1), so iterates can never
+leave the feasible region and no projection nonsmoothness is introduced.
 
 The search itself is a two-variable BFGS with backtracking line search;
 Hessians are not used.  Its cost varies widely: without the floor stop
@@ -59,7 +59,7 @@ from typing import Optional
 
 import numpy as np
 
-from .linalg import as_complex_matrix, norm2, sigma_min, svd_triplet
+from .linalg import as_complex_matrix, norm2, sigma_min, stack_length, svd_triplet
 from .pencils import PencilKind
 
 __all__ = [
@@ -130,17 +130,21 @@ class LocalMin:
 
 
 # The one feasibility rule of the package: per objective, the conditions a
-# point must meet, each with the reason a point that fails it breaks the
-# rule.  Each test takes one point or an array of points.  The
-# continuous-time gradient divides by (Re z)², which must not underflow to 0
-# or to a subnormal number, whose reciprocal overflows.
+# point must meet, in order, each with the reason a point that fails it
+# breaks the rule.  Each test takes one point or an array of points.  Every
+# point must be finite first: an infinite or NaN part would pass or fail the
+# later tests for the wrong reason.  The continuous-time gradient divides by
+# (Re z)², which must not underflow to 0 or to a subnormal number, whose
+# reciprocal overflows.
+_FINITE = ("z is not finite", np.isfinite)
 _RULE = {
     PencilKind.KREISS_CONTINUOUS: (
+        _FINITE,
         ("Re z <= 0", lambda z: z.real > 0.0),
         ("Re z * Re z underflows", lambda z: z.real * z.real >= sys.float_info.min),
     ),
-    PencilKind.KREISS_DISCRETE: (("|z| <= 1", lambda z: abs(z) > 1.0),),
-    PencilKind.DIST_UNCONTROLLABLE: (),
+    PencilKind.KREISS_DISCRETE: (_FINITE, ("|z| <= 1", lambda z: abs(z) > 1.0)),
+    PencilKind.DIST_UNCONTROLLABLE: (_FINITE,),
 }
 
 
@@ -198,11 +202,9 @@ def objective_values(kind: PencilKind, a: np.ndarray, b, zs) -> np.ndarray:
     ``a`` and ``b`` are validated complex matrices, ``b`` None for the
     Kreiss objectives.  Each sigma_min comes from a value-only SVD of the
     matrix that ``objective_value_grad`` builds.  The SVDs run on stacks of
-    at most ``certificates.CHUNK_BYTES`` bytes of matrices, and no value
-    depends on where the stacks split.
+    at most ``linalg.CHUNK_BYTES`` bytes of matrices, and no value depends
+    on where the stacks split.
     """
-    from .certificates import CHUNK_BYTES  # certificates imports this module
-
     zs = np.asarray(zs, dtype=np.complex128).reshape(-1)
     out = np.full(zs.shape, np.inf)
     feasible = np.ones(zs.shape, dtype=bool)
@@ -210,7 +212,7 @@ def objective_values(kind: PencilKind, a: np.ndarray, b, zs) -> np.ndarray:
         feasible &= holds(zs)
     ok = np.flatnonzero(feasible)
     cols = a.shape[1] + (b.shape[1] if kind is PencilKind.DIST_UNCONTROLLABLE else 0)
-    step = max(1, CHUNK_BYTES // (16 * a.shape[0] * cols))
+    step = stack_length(a.shape[0], cols)
     for i in range(0, len(ok), step):
         idx = ok[i : i + step]
         out[idx] = sigma_min(_matrices(kind, a, b, zs[idx])) / _divisor(kind, zs[idx])

@@ -1,15 +1,15 @@
-"""The three structured pencil families and their reduced standard forms.
+"""The three structured pencil families, as their reduced standard forms.
 
 Each family pairs a Hamiltonian first member with a skew-Hamiltonian second
-member whose eigenvalues ``i*r`` on the positive imaginary axis mark radii
-where the family's singular-value objective (listed in ``localopt``, which
-also evaluates it) crosses the level ``gamma`` along the ray at angle
-``theta``.
+member; the eigenvalues ``i*r`` on the positive imaginary axis of the pair
+mark radii where the family's singular-value objective (listed in
+``localopt``, which also evaluates it) crosses the level ``gamma`` along the
+ray at angle ``theta``.  The solver needs only the reduced matrix
+``rhs^{-1} lhs`` of each pair, so that is all this module builds.
 
-The reduced forms are built from explicit closed-form inverses of the second
-member, never by numerical inversion, so the singularity guard is a pure
-scalar test.  The raw pair is retained for structure tests and as a seam for
-future structured eigensolvers.
+The reduced forms are written from explicit closed-form inverses of the
+second member, never by numerical inversion, so the singularity guard is a
+pure scalar test.
 
 Everything in a reduced matrix that does not depend on the angle is gathered
 in ``PencilConstants``, built once per level: A^H and ||A||_2 (shared by all
@@ -27,18 +27,11 @@ from typing import Optional
 
 import numpy as np
 
-from .linalg import as_complex_matrix
-
 __all__ = [
     "NearSingularSecondMember",
     "NonpositiveGamma",
     "PencilConstants",
     "PencilKind",
-    "PencilPair",
-    "ReducedPencil",
-    "build_dtu_pencil",
-    "build_kc_pencil",
-    "build_kd_pencil",
     "pencil_constants",
     "reduced_dtu_matrix",
     "reduced_kc_matrix",
@@ -60,27 +53,6 @@ class PencilKind(Enum):
     KREISS_CONTINUOUS = "kreiss-continuous"
     KREISS_DISCRETE = "kreiss-discrete"
     DIST_UNCONTROLLABLE = "dist-uncontrollable"
-
-
-@dataclass(frozen=True)
-class PencilPair:
-    """Raw pencil (lhs, rhs): lhs Hamiltonian, rhs skew-Hamiltonian, order 2n."""
-
-    lhs: np.ndarray
-    rhs: np.ndarray
-    kind: PencilKind
-    gamma: float
-    theta: float
-
-
-@dataclass(frozen=True)
-class ReducedPencil:
-    """Standard eigenproblem ``rhs^{-1} lhs`` with the same spectrum as the pair."""
-
-    matrix: np.ndarray
-    kind: PencilKind
-    gamma: float
-    theta: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -136,7 +108,7 @@ def pencil_constants(
         bound = (1.0 + g) * (a_norm + g) / abs(1.0 - g * g)
         return PencilConstants(kind, gamma, ah, eye, a_norm, level_norm=bound)
     b_tilde = _b_tilde(b, gamma, eye)
-    exact = float(np.linalg.norm(_assemble(a, b_tilde, -gamma * eye, ah), 2))
+    exact = float(np.linalg.norm(np.block([[a, b_tilde], [-gamma * eye, ah]]), 2))
     return PencilConstants(kind, gamma, ah, eye, a_norm, b_tilde, exact)
 
 
@@ -154,17 +126,6 @@ def _b_tilde(b: np.ndarray, gamma: float, eye: np.ndarray) -> np.ndarray:
     if gamma <= 0.0:
         raise NonpositiveGamma(f"gamma must be positive, got {gamma!r}")
     return (1.0 / gamma) * (b @ b.conj().T) - gamma * eye
-
-
-def _assemble(tl, tr, bl, br) -> np.ndarray:
-    """2x2 block matrix by slice assignment (np.block is slow in hot loops)."""
-    n = tl.shape[0]
-    out = np.empty((2 * n, 2 * n), dtype=np.complex128)
-    out[:n, :n] = tl
-    out[:n, n:] = tr
-    out[n:, :n] = bl
-    out[n:, n:] = br
-    return out
 
 
 def _angles(theta) -> tuple[np.ndarray, bool]:
@@ -280,67 +241,3 @@ def reduced_dtu_matrix(
     _times(-1j * gamma * e_p, eye, bl)
     _times(1j * e_p, ah, br)
     return out[0] if single else out
-
-
-def build_kc_pencil(a, gamma: float, theta: float) -> tuple[PencilPair, ReducedPencil]:
-    """Continuous-time pencil at level ``gamma`` and ray angle ``theta``.
-
-    Refuses the reduction when ``|gamma*cos(theta)|`` is within 1e-12 of 1,
-    where the second member becomes singular; callers perturb gamma instead.
-    """
-    a = as_complex_matrix(a)
-    if a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected square A, got {a.shape}")
-    reduced = reduced_kc_matrix(a, gamma, theta)
-    gc = gamma * np.cos(theta)
-    eye = _eye_like(a)
-    e_p = np.exp(1j * theta)
-    e_m = np.exp(-1j * theta)
-    lhs = _assemble(a, 0 * eye, 0 * eye, -a.conj().T)
-    rhs = _assemble(-1j * e_p * eye, 1j * gc * eye, -1j * gc * eye, 1j * e_m * eye)
-    kind = PencilKind.KREISS_CONTINUOUS
-    return (
-        PencilPair(lhs, rhs, kind, gamma, theta),
-        ReducedPencil(reduced, kind, gamma, theta),
-    )
-
-
-def build_kd_pencil(a, gamma: float, theta: float) -> tuple[PencilPair, ReducedPencil]:
-    """Discrete-time pencil; singular second member iff ``|gamma| = 1``."""
-    a = as_complex_matrix(a)
-    if a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected square A, got {a.shape}")
-    reduced = reduced_kd_matrix(a, gamma, theta)
-    eye = _eye_like(a)
-    e_p = np.exp(1j * theta)
-    e_m = np.exp(-1j * theta)
-    g = gamma
-    lhs = _assemble(a, -g * eye, g * eye, -a.conj().T)
-    rhs = _assemble(-1j * e_p * eye, 1j * g * eye, -1j * g * eye, 1j * e_m * eye)
-    kind = PencilKind.KREISS_DISCRETE
-    return (
-        PencilPair(lhs, rhs, kind, gamma, theta),
-        ReducedPencil(reduced, kind, gamma, theta),
-    )
-
-
-def build_dtu_pencil(a, b, gamma: float, theta: float) -> tuple[PencilPair, ReducedPencil]:
-    """Uncontrollability pencil; second member is always nonsingular."""
-    a = as_complex_matrix(a)
-    b = as_complex_matrix(b)
-    if a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected square A, got {a.shape}")
-    if b.shape[0] != a.shape[0]:
-        raise ValueError(f"B must have {a.shape[0]} rows, got {b.shape}")
-    reduced = reduced_dtu_matrix(a, b, gamma, theta)
-    eye = _eye_like(a)
-    e_p = np.exp(1j * theta)
-    e_m = np.exp(-1j * theta)
-    b_tilde = _b_tilde(b, gamma, eye)
-    lhs = _assemble(a, b_tilde, gamma * eye, -a.conj().T)
-    rhs = _assemble(-1j * e_p * eye, 0 * eye, 0 * eye, 1j * e_m * eye)
-    kind = PencilKind.DIST_UNCONTROLLABLE
-    return (
-        PencilPair(lhs, rhs, kind, gamma, theta),
-        ReducedPencil(reduced, kind, gamma, theta),
-    )

@@ -19,21 +19,22 @@ import numpy as np
 import pytest
 
 from conftest import random_complex, rng, stable_continuous, stable_discrete
-from globcert.certificates import eval_f, eval_g, eval_h
+from globcert.certificates import eval_certificate
 from globcert.chebinterp import Aborted, approximate
 from globcert.cli import result_to_dict
-from globcert.linalg import cond2, eigenvalues, norm2, spectra_match
+from globcert.linalg import eigenvalues, norm2
 from globcert.localopt import Objective, objective_values
-from globcert.oracle import GridSpec, grid_min, psa_grid_estimate, ray_scan, transient_samples
+from globcert.oracle import GridSpec, grid_min
 from globcert.pencils import (
     NearSingularSecondMember,
     PencilKind,
-    build_dtu_pencil,
-    build_kc_pencil,
-    build_kd_pencil,
+    reduced_dtu_matrix,
+    reduced_kc_matrix,
+    reduced_kd_matrix,
 )
 from globcert.solver import SolveStatus, SolverConfig, dtu, kreiss_continuous, kreiss_discrete
 from globcert.solver import _Driver
+from reference import cond2, psa_grid_estimate, raw_pencil, ray_scan, spectra_match, transient_samples
 
 E = np.e
 PI_SQ = np.pi**2
@@ -69,32 +70,32 @@ def test_c01_pencil_round_trip():
             z = r * np.exp(1j * theta)
             if kind is PencilKind.KREISS_CONTINUOUS:
                 mat = (z * np.eye(n) - a) / (r * np.cos(theta))
-                build = lambda s: build_kc_pencil(a, s, theta)
+                build = lambda s: reduced_kc_matrix(a, s, theta)
                 direct = lambda rr: objective_values(kind, a, None, [rr * np.exp(1j * theta)])[0]
                 valid = lambda rr: rr > 1e-6
             elif kind is PencilKind.KREISS_DISCRETE:
                 mat = (z * np.eye(n) - a) / (r - 1.0)
-                build = lambda s: build_kd_pencil(a, s, theta)
+                build = lambda s: reduced_kd_matrix(a, s, theta)
                 direct = lambda rr: objective_values(kind, a, None, [rr * np.exp(1j * theta)])[0]
                 valid = lambda rr: rr > 1 + 1e-6
             else:
                 mat = np.hstack([a - z * np.eye(n), b])
-                build = lambda s: build_dtu_pencil(a, b, s, theta)
+                build = lambda s: reduced_dtu_matrix(a, b, s, theta)
                 direct = lambda rr: objective_values(kind, a, b, [rr * np.exp(1j * theta)])[0]
                 valid = lambda rr: rr > 1e-6
             # direction (i): every singular value yields i*r in the spectrum
             for s in np.linalg.svd(mat, compute_uv=False):
                 try:
-                    _, red = build(float(s))
+                    red = build(float(s))
                 except NearSingularSecondMember:
                     continue
-                lam = eigenvalues(red.matrix)
+                lam = eigenvalues(red)
                 worst = max(worst, float(np.min(np.abs(lam - 1j * r)) / max(1.0, r)))
             # direction (ii): imaginary eigenvalues yield singular values
             g = float(gen.uniform(0.15, 0.9))
-            _, red = build(g)
-            lam = eigenvalues(red.matrix)
-            scale = max(norm2(red.matrix), 1.0)
+            red = build(g)
+            lam = eigenvalues(red)
+            scale = max(norm2(red), 1.0)
             for lam_k in lam[np.abs(lam.real) <= 1e-9 * scale]:
                 rr = float(lam_k.imag)
                 if not valid(rr):
@@ -124,37 +125,37 @@ def test_c02_closed_form_fixtures():
         checks.append(abs(x - y) <= rel * max(abs(y), 1e-300))
 
     a_diag = np.diag([-1.0, -2.0])
-    _, red = build_kc_pencil(a_diag, 0.5, 0.0)
-    checks.append(spectra_match(eigenvalues(red.matrix), [-2j, -2j / 3, -4j, -4j / 3], 1e-10))
-    _, red = build_kc_pencil(a_diag, 2.0, 0.0)
-    checks.append(spectra_match(eigenvalues(red.matrix), [1j, 2j, -1j / 3, -2j / 3], 1e-10))
-    _, red = build_kd_pencil(np.zeros((2, 2)), 0.5, 0.7)
-    checks.append(spectra_match(eigenvalues(red.matrix), [1j / 3, 1j / 3, -1j, -1j], 1e-10))
-    _, red = build_kd_pencil(np.zeros((1, 1)), 2.0, 0.0)
-    checks.append(spectra_match(eigenvalues(red.matrix), [2j / 3, 2j], 1e-10))
-    _, red = build_dtu_pencil([[2.0]], [[1.0]], 1.25, 0.0)
-    checks.append(spectra_match(eigenvalues(red.matrix), [1.25j, 2.75j], 1e-10))
-    _, red = build_dtu_pencil([[2.0]], [[1.0]], 0.5, 0.0)
+    red = reduced_kc_matrix(a_diag, 0.5, 0.0)
+    checks.append(spectra_match(eigenvalues(red), [-2j, -2j / 3, -4j, -4j / 3], 1e-10))
+    red = reduced_kc_matrix(a_diag, 2.0, 0.0)
+    checks.append(spectra_match(eigenvalues(red), [1j, 2j, -1j / 3, -2j / 3], 1e-10))
+    red = reduced_kd_matrix(np.zeros((2, 2)), 0.5, 0.7)
+    checks.append(spectra_match(eigenvalues(red), [1j / 3, 1j / 3, -1j, -1j], 1e-10))
+    red = reduced_kd_matrix(np.zeros((1, 1)), 2.0, 0.0)
+    checks.append(spectra_match(eigenvalues(red), [2j / 3, 2j], 1e-10))
+    red = reduced_dtu_matrix(np.array([[2.0]]), np.array([[1.0]]), 1.25, 0.0)
+    checks.append(spectra_match(eigenvalues(red), [1.25j, 2.75j], 1e-10))
+    red = reduced_dtu_matrix(np.array([[2.0]]), np.array([[1.0]]), 0.5, 0.0)
     checks.append(
-        spectra_match(eigenvalues(red.matrix), [np.sqrt(0.75) + 2j, -np.sqrt(0.75) + 2j], 1e-10)
+        spectra_match(eigenvalues(red), [np.sqrt(0.75) + 2j, -np.sqrt(0.75) + 2j], 1e-10)
     )
 
-    cv = eval_g(a_diag, 0.5, 0.0)
+    cv = eval_certificate(PencilKind.KREISS_CONTINUOUS, a_diag, None, 0.5, 0.0)
     close(cv.value, PI_SQ)
-    cv = eval_g(a_diag, 2.0, 0.0)
+    cv = eval_certificate(PencilKind.KREISS_CONTINUOUS, a_diag, None, 2.0, 0.0)
     checks.append(cv.value == 0.0)
     by_r = {round(c.r): c for c in cv.candidates}
     close(by_r[1].verified_value, 2.0)
     close(by_r[2].verified_value, 1.5)
-    cv = eval_h(np.zeros((2, 2)), 0.5, 0.0)
+    cv = eval_certificate(PencilKind.KREISS_DISCRETE, np.zeros((2, 2)), None, 0.5, 0.0)
     close(cv.value, PI_SQ)
-    cv = eval_h(np.zeros((1, 1)), 2.0, 0.0)
+    cv = eval_certificate(PencilKind.KREISS_DISCRETE, np.zeros((1, 1)), None, 2.0, 0.0)
     checks.append(cv.value == 0.0 and abs(cv.candidates[0].verified_value - 2.0) <= 2e-10)
-    cv = eval_f([[2.0]], [[1.0]], 1.25, 0.0)
+    cv = eval_certificate(PencilKind.DIST_UNCONTROLLABLE, [[2.0]], [[1.0]], 1.25, 0.0)
     checks.append(cv.value == 0.0)
     for c in cv.candidates:
         close(c.verified_value, 1.25)
-    cv = eval_f([[2.0]], [[1.0]], 0.5, 0.0)
+    cv = eval_certificate(PencilKind.DIST_UNCONTROLLABLE, [[2.0]], [[1.0]], 0.5, 0.0)
     close(cv.value, np.arctan2(np.sqrt(0.75), 2.0) ** 2)  # the 0.16699 fixture
     report(2, "closed-form fixtures", all(checks), f"{sum(checks)}/{len(checks)} ok")
 
@@ -166,21 +167,21 @@ def test_c03_condition_number_law():
     for g in (0.1, 0.3, 0.5, 0.7, 0.9, 0.95):
         conds_c = []
         for th in thetas:
-            pair, _ = build_kc_pencil(np.eye(2), g, float(th))
+            _, rhs = raw_pencil(PencilKind.KREISS_CONTINUOUS, np.eye(2), None, g, float(th))
             gc = abs(g * np.cos(th))
             pred = (1 + gc) / abs(1 - gc)
-            worst = max(worst, abs(cond2(pair.rhs) - pred) / pred)
-            conds_c.append(cond2(pair.rhs))
-            pair, _ = build_kd_pencil(np.eye(2), g, float(th))
+            worst = max(worst, abs(cond2(rhs) - pred) / pred)
+            conds_c.append(cond2(rhs))
+            _, rhs = raw_pencil(PencilKind.KREISS_DISCRETE, np.eye(2), None, g, float(th))
             pred_d = (1 + g) / (1 - g)
-            worst = max(worst, abs(cond2(pair.rhs) - pred_d) / pred_d)
+            worst = max(worst, abs(cond2(rhs) - pred_d) / pred_d)
         k_mid = len(thetas) // 2  # theta = 0
         ok_max &= conds_c[k_mid] == max(conds_c)
         ok_max &= abs(conds_c[k_mid] - (1 + g) / (1 - g)) <= 1e-10 * (1 + g) / (1 - g)
     worst_d = 0.0
     for th in np.linspace(-np.pi, np.pi, 21):
-        pair, _ = build_dtu_pencil(np.eye(3), np.ones((3, 2)), 0.7, float(th))
-        worst_d = max(worst_d, abs(cond2(pair.rhs) - 1.0))
+        _, rhs = raw_pencil(PencilKind.DIST_UNCONTROLLABLE, np.eye(3), np.ones((3, 2)), 0.7, float(th))
+        worst_d = max(worst_d, abs(cond2(rhs) - 1.0))
     report(
         3,
         "condition-number law",
@@ -199,15 +200,15 @@ def test_c04_certificate_ray_scan_equivalence():
             a, b = _mk_instance(gen, kind)
             if kind is PencilKind.KREISS_CONTINUOUS:
                 r_grid = np.geomspace(0.01, 100.0, 2000)
-                evaluate = lambda g, th: eval_g(a, g, th)
+                evaluate = lambda g, th: eval_certificate(kind, a, None, g, th)
                 th_lo, th_hi = -1.45, 1.45
             elif kind is PencilKind.KREISS_DISCRETE:
                 r_grid = 1.0 + np.geomspace(1e-4, 100.0, 2000)
-                evaluate = lambda g, th: eval_h(a, g, th)
+                evaluate = lambda g, th: eval_certificate(kind, a, None, g, th)
                 th_lo, th_hi = -np.pi, np.pi
             else:
                 r_grid = np.geomspace(0.01, 100.0, 2000)
-                evaluate = lambda g, th: eval_f(a, b, g, th)
+                evaluate = lambda g, th: eval_certificate(kind, a, b, g, th)
                 th_lo, th_hi = -np.pi, np.pi
             gamma = float(gen.uniform(0.2, 0.95))
             if kind is PencilKind.DIST_UNCONTROLLABLE:

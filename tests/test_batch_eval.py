@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from conftest import random_complex, rng
-from globcert import certificates
+from globcert import certificates, linalg
 from globcert.certificates import (
     NearZeroPencilEigenvalue,
     chunk_length,
@@ -210,7 +210,7 @@ def test_chunk_boundaries_change_no_bits(kind, monkeypatch):
     per_matrix = 16 * (2 * a.shape[0]) ** 2
     assert chunk_length(a.shape[0]) >= k  # by default the whole set is one chunk
     for length in (1, k - 1, 4):
-        monkeypatch.setattr(certificates, "CHUNK_BYTES", length * per_matrix)
+        monkeypatch.setattr(linalg, "CHUNK_BYTES", length * per_matrix)
         assert chunk_length(a.shape[0]) == length
         cvs = eval_certificates(kind, a, b, gamma, thetas, const)
         assert all(_same_cv(cv, th, ref) for cv, th, ref in zip(cvs, thetas, refs)), length
@@ -239,7 +239,7 @@ def test_solves_do_not_depend_on_chunking(monkeypatch):
     )
     base = [_fingerprint(solve()) for solve in solves]
     for chunk_bytes, workers in ((16 * 100, 1), (16 * 100, 2), (1, 2)):
-        monkeypatch.setattr(certificates, "CHUNK_BYTES", chunk_bytes)
+        monkeypatch.setattr(linalg, "CHUNK_BYTES", chunk_bytes)
         cfg = SolverConfig(max_restarts=3, workers=workers)
         again = [
             _fingerprint(kreiss_continuous(_shifted_grcar(5), [1 + 1j], cfg)),

@@ -9,27 +9,25 @@ from globcert.certificates import (
     CertificateValue,
     NoAcceptedCandidates,
     eval_certificate,
-    eval_f,
-    eval_g,
-    eval_h,
     extract_restart_points,
 )
 from globcert.demos import grcar
 from globcert.linalg import spectral_radius
-from globcert.oracle import ray_scan
 from globcert.pencils import PencilKind, pencil_constants
+from reference import ray_scan
 
+KC, KD, DTU = PencilKind.KREISS_CONTINUOUS, PencilKind.KREISS_DISCRETE, PencilKind.DIST_UNCONTROLLABLE
 PI_SQ = np.pi**2
 
 
 def test_g_diag_no_crossing():
-    cv = eval_g(np.diag([-1.0, -2.0]), 0.5, 0.0)
+    cv = eval_certificate(KC, np.diag([-1.0, -2.0]), None, 0.5, 0.0)
     assert_close(cv.value, PI_SQ, rel=1e-12)
     assert cv.candidates == ()
 
 
 def test_g_diag_crossings_verified():
-    cv = eval_g(np.diag([-1.0, -2.0]), 2.0, 0.0)
+    cv = eval_certificate(KC, np.diag([-1.0, -2.0]), None, 2.0, 0.0)
     assert cv.value == 0.0
     radii = sorted(c.r for c in cv.candidates)
     assert_close(radii[0], 1.0, rel=1e-10)
@@ -41,10 +39,10 @@ def test_g_diag_crossings_verified():
 
 
 def test_h_zero_matrix_no_false_zeros_below_unit_radius():
-    cv = eval_h(np.zeros((2, 2)), 0.5, 0.0)
+    cv = eval_certificate(KD, np.zeros((2, 2)), None, 0.5, 0.0)
     assert_close(cv.value, PI_SQ, rel=1e-12)
     assert cv.candidates == ()
-    cv = eval_h(np.zeros((1, 1)), 2.0, 0.0)
+    cv = eval_certificate(KD, np.zeros((1, 1)), None, 2.0, 0.0)
     assert cv.value == 0.0
     assert len(cv.candidates) == 1
     assert_close(cv.candidates[0].r, 2.0, rel=1e-10)
@@ -52,17 +50,17 @@ def test_h_zero_matrix_no_false_zeros_below_unit_radius():
 
 
 def test_f_scalar_examples():
-    cv = eval_f([[2.0]], [[1.0]], 1.25, 0.0)
+    cv = eval_certificate(DTU, [[2.0]], [[1.0]], 1.25, 0.0)
     assert cv.value == 0.0
     radii = sorted(c.r for c in cv.candidates)
     assert_close(radii[0], 1.25, rel=1e-10)
     assert_close(radii[1], 2.75, rel=1e-10)
     for c in cv.candidates:
         assert_close(c.verified_value, 1.25, rel=1e-10)
-    cv = eval_f([[2.0]], [[1.0]], 0.5, 0.0)
+    cv = eval_certificate(DTU, [[2.0]], [[1.0]], 0.5, 0.0)
     assert_close(cv.value, np.arctan2(np.sqrt(0.75), 2.0) ** 2, rel=1e-10)
     assert cv.candidates == ()
-    cv = eval_f([[2.0]], [[1.0]], 1.25, np.pi)
+    cv = eval_certificate(DTU, [[2.0]], [[1.0]], 1.25, np.pi)
     assert cv.value > 1.0  # level circle around z=2 misses the negative axis
 
 
@@ -75,9 +73,13 @@ def test_range_and_zero_iff_candidates():
         g = float(gen.uniform(0.05, 2.5))
         th = float(gen.uniform(-np.pi, np.pi))
         for cv in (
-            eval_g(a, g, min(max(th, -1.4), 1.4)) if abs(1 - abs(g * np.cos(th))) > 1e-6 else None,
-            eval_h(a, g, th) if abs(1 - g) > 1e-6 else None,
-            eval_f(a, b, g, th),
+            (
+                eval_certificate(KC, a, None, g, min(max(th, -1.4), 1.4))
+                if abs(1 - abs(g * np.cos(th))) > 1e-6
+                else None
+            ),
+            eval_certificate(KD, a, None, g, th) if abs(1 - g) > 1e-6 else None,
+            eval_certificate(DTU, a, b, g, th),
         ):
             if cv is None:
                 continue
@@ -128,7 +130,7 @@ def test_h_tiny_matrix_eigenvalue_inside_unit_radius_reads_no_zero():
     # inside radius 1; measured from r = 1 they read about pi^2, not ~0
     a = 1e-9 * random_complex(rng(43), 2)
     for th in np.linspace(-np.pi, np.pi, 9):
-        cv = eval_h(a, 0.5, float(th))
+        cv = eval_certificate(KD, a, None, 0.5, float(th))
         assert cv.value > 1.0
         assert not any(c.accepted and c.r <= 1.0 for c in cv.candidates)
 
@@ -140,7 +142,9 @@ def test_h_continuous_across_inner_crossing():
     a = grcar(10)
     a = a / (1.01 * spectral_radius(a))
     gamma = 0.4144828902275395 * (1.0 - 1e-14)
-    values = [eval_h(a, gamma, float(th)).value for th in np.linspace(0.55, 0.58, 301)]
+    values = [
+        eval_certificate(KD, a, None, gamma, float(th)).value for th in np.linspace(0.55, 0.58, 301)
+    ]
     assert np.max(np.abs(np.diff(values))) <= 1e-3
 
 
@@ -148,7 +152,7 @@ def test_h_near_unimodular_eigenvalue_stays_positive():
     # rotation-like A with an eigenvalue on the unit circle: the pencil has an
     # eigenvalue at exactly i at the aligned angle; exclusions keep h > 0
     a = np.diag([np.exp(0.3j) * 0.9999999999, 0.5])
-    cv = eval_h(a, 0.7, 0.3)
+    cv = eval_certificate(KD, a, None, 0.7, 0.3)
     assert cv.value >= 0.0
     assert not any(c.accepted and c.r <= 1.0 for c in cv.candidates)
 
@@ -158,8 +162,8 @@ def test_h_at_a_singular_value_of_a_reads_a_value():
     # radius floor 1; measured from mu = 0 that raised NearZeroPencilEigenvalue
     a = np.array([[0.5, 0.3], [0.0, 0.2]])
     for sigma in np.linalg.svd(a, compute_uv=False):
-        at = eval_h(a, float(sigma), 0.3).value
-        below = eval_h(a, float(sigma) * (1.0 - 1e-9), 0.3).value
+        at = eval_certificate(KD, a, None, float(sigma), 0.3).value
+        below = eval_certificate(KD, a, None, float(sigma) * (1.0 - 1e-9), 0.3).value
         assert 0.0 <= at <= PI_SQ
         assert abs(at - below) <= 1e-8
 
@@ -190,8 +194,8 @@ def test_monotone_zero_sets():
     a = np.array([[-0.4, 3.0], [0.0, -0.6]])
     grid = np.linspace(-1.35, 1.35, 181)
     g1, g2 = 0.7, 0.9
-    z1 = {i for i, th in enumerate(grid) if eval_g(a, g1, float(th)).value == 0.0}
-    z2 = {i for i, th in enumerate(grid) if eval_g(a, g2, float(th)).value == 0.0}
+    z1 = {i for i, th in enumerate(grid) if eval_certificate(KC, a, None, g1, th).value == 0.0}
+    z2 = {i for i, th in enumerate(grid) if eval_certificate(KC, a, None, g2, th).value == 0.0}
     assert z1, "lower level should still be crossed somewhere"
     assert z1 <= z2
 
@@ -200,14 +204,14 @@ def test_large_gamma_saturation_continuous():
     a = np.array([[-0.5, 2.0], [0.0, -0.5]])
     for th in np.linspace(-1.2, 1.2, 9):
         g = 2.0 / np.cos(th)
-        cv = eval_g(a, float(g), float(th))
+        cv = eval_certificate(KC, a, None, float(g), float(th))
         assert cv.value == 0.0 and any(c.accepted for c in cv.candidates)
 
 
 def test_saturation_discrete_above_one():
     a = np.array([[0.5, 0.6], [0.0, -0.3]])
     for th in np.linspace(-np.pi, np.pi, 9):
-        cv = eval_h(a, 1.5, float(th))
+        cv = eval_certificate(KD, a, None, 1.5, float(th))
         assert cv.value == 0.0
 
 
@@ -217,7 +221,7 @@ def test_saturation_dtu_above_center_value():
     b = random_complex(gen, 3, 2)
     f0 = np.linalg.svd(np.hstack([a, b]), compute_uv=False)[-1]
     for th in np.linspace(-np.pi, np.pi, 9):
-        cv = eval_f(a, b, float(f0 * 1.001), float(th))
+        cv = eval_certificate(DTU, a, b, float(f0 * 1.001), float(th))
         assert cv.value == 0.0
 
 
@@ -229,7 +233,7 @@ def test_certificate_vs_ray_scan_equivalence_small():
         a = stable_continuous(gen, 4)
         g = float(gen.uniform(0.3, 0.9))
         for th in gen.uniform(-1.4, 1.4, 10):
-            cv = eval_g(a, g, float(th))
+            cv = eval_certificate(KC, a, None, g, float(th))
             crossed = ray_scan(PencilKind.KREISS_CONTINUOUS, a, None, g, float(th), r_grid)
             disagreements += int(crossed != (cv.value == 0.0))
     assert disagreements <= 1

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -89,17 +90,8 @@ def test_cli_has_no_shift_center(tmp_path, capsys):
     assert "unrecognized arguments: --shift-center" in capsys.readouterr().err
 
 
-def test_env_var_workers(tmp_path, monkeypatch):
-    monkeypatch.setenv("GLOBCERT_WORKERS", "3")
-    m = tmp_path / "A.mtx"
-    write_matrix(m, np.eye(2))
-    req = parse_args(["kreiss-c", str(m)])
-    assert req.config.workers == 3
-
-
 def test_default_workers_follow_the_affinity_mask(tmp_path, monkeypatch):
     # a process restricted to one CPU of two gets one worker, not two
-    monkeypatch.delenv("GLOBCERT_WORKERS", raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     m = tmp_path / "A.mtx"
@@ -108,19 +100,6 @@ def test_default_workers_follow_the_affinity_mask(tmp_path, monkeypatch):
     # where the platform has no affinity mask, the CPU count
     monkeypatch.delattr(os, "sched_getaffinity")
     assert parse_args(["kreiss-c", str(m)]).config.workers == 2
-
-
-@pytest.mark.parametrize("value", ["abc", "0", "-3"])
-def test_env_var_workers_rejects_non_counts(tmp_path, monkeypatch, capsys, value):
-    # the same rule as --workers: a bad value is a usage error naming the variable
-    monkeypatch.setenv("GLOBCERT_WORKERS", value)
-    m = tmp_path / "A.mtx"
-    write_matrix(m, np.eye(2))
-    with pytest.raises(SystemExit) as info:
-        parse_args(["kreiss-c", str(m)])
-    assert info.value.code == 1
-    assert "GLOBCERT_WORKERS" in capsys.readouterr().err
-    assert main(["kreiss-c", str(m)]) == 1
 
 
 def test_matrix_market_array_column_major(tmp_path):
@@ -337,6 +316,15 @@ def test_cli_names_a_start_whose_square_underflows(tmp_path):
     assert "globcert kreiss-c: error: --start (1e-200+0j) is infeasible" in proc.stderr
 
 
+def test_cli_names_a_non_finite_start(tmp_path, capsys):
+    # "nan" parses as a complex number; it was rejected for "Re z <= 0"
+    a_path = tmp_path / "A.mtx"
+    write_matrix(a_path, np.array([[-1.0, 4.0], [0.0, -2.0]]))
+    assert main(["kreiss-c", str(a_path), "--start", "nan"]) == 1
+    err = capsys.readouterr().err
+    assert "globcert kreiss-c: error: --start (nan+0j) is infeasible (z is not finite)" in err
+
+
 def test_verify_dtu_requires_b(tmp_path, capsys):
     a_path = tmp_path / "A.mtx"
     write_matrix(a_path, np.eye(2))
@@ -354,20 +342,38 @@ def test_console_script_help():
     assert "kreiss-c" in proc.stdout
 
 
-def test_imports_load_no_scipy():
-    # scipy costs most of a cold start; only oracle.transient_samples needs it
+def test_imports_load_no_scipy(tmp_path):
+    # numpy is the one runtime dependency: with every scipy import refused,
+    # the README example, a dtu solve and the grid oracle still run, and
+    # importing the package loads no scipy module
     src = str(Path(cli.__file__).resolve().parents[1])
     path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    readme = (Path(cli.__file__).resolve().parents[2] / "README.md").read_text()
+    example = re.search(r"```python\n(.*?)```", readme, re.S).group(1)
+    a_path = tmp_path / "D.mtx"
+    write_matrix(a_path, np.array([[0.9, 0.8], [0.0, 0.5]]))
     code = (
         "import sys\n"
+        "class RefuseScipy:\n"
+        "    def find_spec(self, name, path=None, target=None):\n"
+        "        if name.partition('.')[0] == 'scipy':\n"
+        "            raise ImportError(f'{name} is refused')\n"
+        "sys.meta_path.insert(0, RefuseScipy())\n"
         "def scipy_modules():\n"
         "    return sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))\n"
         "import globcert\n"
         "print(scipy_modules())\n"
         "import globcert.cli\n"
         "print(scipy_modules())\n"
+        "exec(compile(sys.argv[1], 'README.md', 'exec'), {})\n"
+        "res = globcert.dtu([[2.0]], [[1.0]], [3.0], globcert.SolverConfig(workers=1))\n"
+        "assert res.status is globcert.SolveStatus.CONVERGED, res.status\n"
+        "sys.exit(globcert.cli.main(['verify', 'kreiss-d', sys.argv[2], '--resolution', '60']))\n"
     )
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    proc = subprocess.run(
+        [sys.executable, "-c", code, example, str(a_path)], capture_output=True, text=True, env=env
+    )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split("\n")[:2] == ["[]", "[]"], proc.stdout[:500]
+    assert "oracle kreiss-d: quantity = " in proc.stdout

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from conftest import assert_close, rng, stable_continuous
-from globcert import certificates
+from globcert import linalg
 from globcert.localopt import Objective
-from globcert.oracle import GridSpec, grid_min, psa_grid_estimate, ray_scan, transient_samples
+from globcert.oracle import GridSpec, grid_min
 from globcert.pencils import PencilKind
+from reference import psa_grid_estimate, ray_scan, transient_samples
 
 
 def test_gridspec_validation():
@@ -123,4 +124,21 @@ def test_grid_min_stacks_stay_within_the_chunk_budget(monkeypatch):
     grid_min(obj, GridSpec((1e-3, 4.0, -4.0, 4.0), 200, 200, polish=False))
     stacked = [shape for shape in shapes if len(shape) == 3]
     assert sum(shape[0] for shape in stacked) == 200 * 200
-    assert max(16 * np.prod(shape) for shape in stacked) <= certificates.CHUNK_BYTES
+    assert max(16 * np.prod(shape) for shape in stacked) <= linalg.CHUNK_BYTES
+
+
+def test_psa_grid_estimate_stacks_stay_within_the_chunk_budget(monkeypatch):
+    # the first scan stacked all 40,000 grid points into one SVD call, of
+    # 10 MB at order 4; one refinement adds a 41 x 41 subgrid
+    a = stable_continuous(rng(33), 4)
+    svd, shapes = np.linalg.svd, []
+
+    def recording_svd(m, *args, **kwargs):
+        shapes.append(np.shape(m))
+        return svd(m, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording_svd)
+    psa_grid_estimate(a, 0.1, GridSpec((-4.0, 4.0, -4.0, 4.0), 200, 200), refine=1)
+    stacked = [shape for shape in shapes if len(shape) == 3]
+    assert sum(shape[0] for shape in stacked) == 200 * 200 + 41 * 41
+    assert max(16 * np.prod(shape) for shape in stacked) <= linalg.CHUNK_BYTES

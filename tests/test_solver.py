@@ -79,6 +79,31 @@ def test_continuous_start_whose_square_underflows_is_rejected_by_name(start):
         kreiss_continuous(a, [start])
 
 
+_A_NONFINITE = np.array([[-1.0, 4.0], [0.0, -2.0]])
+_INF, _NAN = float("inf"), float("nan")
+
+
+@pytest.mark.parametrize(
+    "solve, start",
+    [
+        (lambda z: kreiss_continuous(_A_NONFINITE, [z]), complex(_INF, 0.0)),
+        (lambda z: kreiss_continuous(_A_NONFINITE, [z]), complex(1.0, _INF)),
+        (lambda z: kreiss_discrete(_A_NONFINITE / 4, [z]), complex(_INF, 0.0)),
+        (lambda z: kreiss_discrete(_A_NONFINITE / 4, [z]), complex(_NAN, 0.0)),
+        (lambda z: dtu(_A_NONFINITE, [[1.0], [0.0]], [z]), complex(_NAN, 0.0)),
+        (lambda z: dtu(_A_NONFINITE, [[1.0], [0.0]], [z]), complex(_INF, 0.0)),
+    ],
+    ids=["kc-inf", "kc-1+inf-i", "kd-inf", "kd-nan", "dtu-nan", "dtu-inf"],
+)
+def test_non_finite_start_is_rejected_by_name(solve, start):
+    # the Kreiss infinite starts raised RuntimeError naming no start, a
+    # discrete NaN start was rejected for "|z| <= 1", and dtu dropped
+    # either start and returned Converged from the origin alone
+    message = f"start {start} is infeasible (z is not finite)"
+    with pytest.raises(InfeasibleStart, match=re.escape(message)):
+        solve(start)
+
+
 def test_continuous_tiny_start_converges():
     # the first working gradient is about -1e150, so each of the line
     # search's 50 halved trials overflowed; the descent stopped at its start,
