@@ -34,6 +34,9 @@ matrices of a chunk are built into one stack, which takes one
 ``np.linalg.eigvals`` call, and the eigenvalues are classified with
 whole-array operations.  Every result is bit for bit what the angle gives
 alone, so neither the chunk size nor the caller's batching changes a value.
+The two degenerate-level errors are raised chunk by chunk: within a chunk, a
+singular second member at any angle is raised before an eigenvalue at the
+radius floor at an earlier one.
 """
 
 from __future__ import annotations
@@ -47,7 +50,6 @@ import numpy as np
 from .linalg import as_complex_matrix, stack_length
 from .localopt import objective_values
 from .pencils import (
-    NearSingularSecondMember,
     PencilConstants,
     PencilKind,
     pencil_constants,
@@ -126,26 +128,20 @@ class CertificateValue:
 def _eval_chunk(kind, a, b, gamma, thetas: list[float], const) -> list[CertificateValue]:
     """Certificate values at ``thetas``, from one stacked eigensolve.
 
-    Classification is whole-array work on the stack; only rows that nominate
-    radii, or whose pencil has an eigenvalue at the radius floor, are visited
-    one by one, in angle order, so the first offending angle raises, as if
-    the angles were evaluated one after another.
+    A singular second member at any angle raises ``NearSingularSecondMember``
+    from the stacked build, naming the chunk's first such angle, before any
+    eigenvalue is classified.  Classification is whole-array work on the
+    stack; only rows that nominate radii, or whose pencil has an eigenvalue
+    at the radius floor, are visited one by one, in angle order, so
+    ``NearZeroPencilEigenvalue`` names the chunk's first such angle.
     """
     t = np.array(thetas)
-    try:
-        if kind is PencilKind.KREISS_CONTINUOUS:
-            stack, r_floor = reduced_kc_matrix(a, gamma, t, const), 0.0
-        elif kind is PencilKind.KREISS_DISCRETE:
-            stack, r_floor = reduced_kd_matrix(a, gamma, t, const), 1.0
-        else:
-            stack, r_floor = reduced_dtu_matrix(a, b, gamma, t, const), 0.0
-    except NearSingularSecondMember:
-        if len(thetas) == 1:
-            raise
-        # an angle at the degenerate level: evaluate one angle at a time, so
-        # that an earlier angle's error still surfaces first
-        return [cv for th in thetas for cv in _eval_chunk(kind, a, b, gamma, [th], const)]
-
+    if kind is PencilKind.KREISS_CONTINUOUS:
+        stack, r_floor = reduced_kc_matrix(a, gamma, t, const), 0.0
+    elif kind is PencilKind.KREISS_DISCRETE:
+        stack, r_floor = reduced_kd_matrix(a, gamma, t, const), 1.0
+    else:
+        stack, r_floor = reduced_dtu_matrix(a, b, gamma, t, const), 0.0
     lam = np.linalg.eigvals(stack)
     scales = [max(const.norm_bound(th), _TINY) for th in thetas]
     scale = np.array(scales)
@@ -207,7 +203,7 @@ def eval_certificates(
     bit what the same angle gives alone.  ``b`` is ignored unless evaluating
     the DTU certificate.  ``const`` holds the theta-independent parts of the
     pencil at this kind and level, from ``pencil_constants`` on validated
-    complex A and B; a solver builds it once per certificate round and passes
+    complex A and B; a solver builds it once per certificate level and passes
     A and B as it validated them.  Without it, A and B are validated and the
     constants built for this one call.
     """

@@ -322,13 +322,21 @@ class PiecewiseCheb:
     def coeff_scale(self) -> float:
         return max(float(np.max(np.abs(p.coeffs))) for p in self.pieces)
 
+    def _distinct(self, xs) -> np.ndarray:
+        """``xs`` ascending, less each point within 1e-12 times the domain's
+        length of the last point kept: merged points keep the leftmost."""
+        span = self.domain[1] - self.domain[0]
+        out: list[float] = []
+        for x in sorted(xs):
+            if not out or x - out[-1] > 1e-12 * span:
+                out.append(x)
+        return np.array(out)
+
     def roots(self) -> np.ndarray:
         """All real roots in the domain, ascending, deduplicated.
 
         Every reported root x satisfies |p(x)| <= 1e-10 * coefficient scale.
         """
-        lo, hi = self.domain
-        span = hi - lo
         scale = max(self.coeff_scale, 1e-300)
         found = []
         for p in self.pieces:
@@ -342,13 +350,7 @@ class PiecewiseCheb:
                 u = _newton_polish(p.coeffs, dc, u)  # against the full piece polynomial
                 if abs(float(_clenshaw(p.coeffs, u))) <= 1e-10 * scale:
                     found.append(0.5 * (p.a + p.b) + 0.5 * (p.b - p.a) * u)
-        found.sort()
-        out: list[float] = []
-        for x in found:
-            if not out or x - out[-1] > 1e-12 * span:
-                out.append(x)
-            # merged duplicates keep the first (leftmost) representative
-        return np.array(out)
+        return self._distinct(found)
 
     def global_minimizers(self) -> tuple[np.ndarray, float]:
         """All global minimizers (ties within 1e-12 of the min) and the min.
@@ -359,7 +361,6 @@ class PiecewiseCheb:
         values are used instead, each polished by a few local Newton steps.
         """
         lo, hi = self.domain
-        span = hi - lo
         cands: list[float] = []
         scale = max(self.coeff_scale, 1e-300)
         for p in self.pieces:
@@ -393,12 +394,7 @@ class PiecewiseCheb:
         cands = [min(hi, max(lo, x)) for x in cands]
         vals = np.array([self.evaluate(x) for x in cands])
         vmin = float(np.min(vals))
-        xs = sorted(x for x, v in zip(cands, vals) if v <= vmin + 1e-12)
-        out: list[float] = []
-        for x in xs:
-            if not out or x - out[-1] > 1e-12 * span:
-                out.append(x)
-        return np.array(out), vmin
+        return self._distinct(x for x, v in zip(cands, vals) if v <= vmin + 1e-12), vmin
 
     def global_min(self) -> tuple[float, float]:
         """Leftmost global minimizer and the minimum value."""

@@ -14,8 +14,6 @@ import contextlib
 import json
 import os
 import sys
-from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -26,7 +24,7 @@ from .oracle import GridSpec, grid_min
 from .pencils import PencilKind
 from .solver import SolveResult, SolveStatus, SolverConfig, dtu, kreiss_continuous, kreiss_discrete
 
-__all__ = ["RunRequest", "emit_result", "emit_trace", "main", "parse_args"]
+__all__ = ["emit_result", "emit_trace", "main", "parse_args"]
 
 _KINDS = {
     "kreiss-c": PencilKind.KREISS_CONTINUOUS,
@@ -41,21 +39,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
-
-
-@dataclass(frozen=True)
-class RunRequest:
-    """A validated command-line invocation."""
-
-    command: str
-    matrix_path: str
-    b_path: Optional[str]
-    starts: tuple[complex, ...]
-    config: SolverConfig
-    json_path: Optional[str]
-    trace_path: Optional[str]
-    resolution: int = 200
-    expect: Optional[float] = None
 
 
 def _parse_complex(text: str) -> complex:
@@ -96,21 +79,20 @@ def _default_workers() -> int:
     return os.cpu_count() or 1
 
 
-def _add_common(p: argparse.ArgumentParser, with_solver_opts: bool = True):
+def _add_common(p: argparse.ArgumentParser):
     p.add_argument("matrix", help="Matrix Market file for A")
-    if with_solver_opts:
-        p.add_argument(
-            "--start",
-            action="append",
-            type=_parse_complex,
-            default=None,
-            metavar="RE±IMi",
-            help="starting point (repeatable)",
-        )
-        p.add_argument("--json", dest="json_path", metavar="PATH", help="write result JSON")
-        p.add_argument("--trace", dest="trace_path", metavar="PATH", help="write certificate trace CSV")
-        p.add_argument("--workers", type=_count, default=None, help="concurrent certificate evaluations")
-        p.add_argument("--max-restarts", type=_count, default=50, help="restart budget")
+    p.add_argument(
+        "--start",
+        action="append",
+        type=_parse_complex,
+        default=None,
+        metavar="RE±IMi",
+        help="starting point (repeatable)",
+    )
+    p.add_argument("--json", dest="json_path", metavar="PATH", help="write result JSON")
+    p.add_argument("--trace", dest="trace_path", metavar="PATH", help="write certificate trace CSV")
+    p.add_argument("--workers", type=_count, default=None, help="concurrent certificate evaluations")
+    p.add_argument("--max-restarts", type=_count, default=50, help="restart budget")
 
 
 def _build_parser() -> _Parser:
@@ -125,61 +107,48 @@ def _build_parser() -> _Parser:
 
     pt = sub.add_parser("dtu", help="distance to uncontrollability")
     _add_common(pt)
-    pt.add_argument("b_matrix", help="Matrix Market file for B")
+    pt.add_argument("b_path", metavar="b_matrix", help="Matrix Market file for B")
 
     pv = sub.add_parser("verify", help="independent grid-oracle spot check")
     pv.add_argument("target", choices=sorted(_KINDS), help="quantity to verify")
     pv.add_argument("matrix", help="Matrix Market file for A")
-    pv.add_argument("b_matrix", nargs="?", help="Matrix Market file for B (dtu only)")
+    pv.add_argument("b_path", nargs="?", metavar="b_matrix", help="Matrix Market file for B (dtu only)")
     pv.add_argument("--resolution", type=int, default=200, help="grid points per axis")
     pv.add_argument("--expect", type=float, default=None, help="value to compare against")
     return parser
 
 
-def parse_args(argv) -> RunRequest:
-    """Parse and validate ``argv`` (excluding the program name)."""
+def parse_args(argv) -> argparse.Namespace:
+    """Parse and validate ``argv`` (excluding the program name).
+
+    A solve command's namespace also holds its ``starts`` (the defaults when
+    no ``--start`` is given) and its ``SolverConfig`` as ``config``.
+    """
     ns = _build_parser().parse_args(_attach_start_values(argv))
-    for path in (ns.matrix, getattr(ns, "b_matrix", None)):
+    ns.b_path = getattr(ns, "b_path", None)
+    for path in (ns.matrix, ns.b_path):
         if path is not None and not os.path.isfile(path):
             print(f"globcert {ns.command}: error: matrix file {path!r} not found", file=sys.stderr)
             raise SystemExit(1)
     if ns.command == "verify":
-        if ns.target == "dtu" and ns.b_matrix is None:
+        if ns.target == "dtu" and ns.b_path is None:
             print("globcert verify: error: dtu requires a B matrix", file=sys.stderr)
             raise SystemExit(1)
-        return RunRequest(
-            command="verify:" + ns.target,
-            matrix_path=ns.matrix,
-            b_path=ns.b_matrix,
-            starts=(),
-            config=SolverConfig(),
-            json_path=None,
-            trace_path=None,
-            resolution=ns.resolution,
-            expect=ns.expect,
-        )
+        return ns
 
     defaults = {"kreiss-c": (1 + 1j,), "kreiss-d": (2 + 0j,), "dtu": ()}
-    starts = tuple(ns.start) if ns.start else defaults[ns.command]
-    for z in starts:
+    ns.starts = tuple(ns.start) if ns.start else defaults[ns.command]
+    for z in ns.starts:
         try:
             check_start(_KINDS[ns.command], z)
         except InfeasibleStart as exc:  # "start <z> is infeasible (<rule broken>)"
             print(f"globcert {ns.command}: error: --{exc}", file=sys.stderr)
             raise SystemExit(1) from None
-    cfg = SolverConfig(
+    ns.config = SolverConfig(
         max_restarts=ns.max_restarts,
         workers=ns.workers if ns.workers is not None else _default_workers(),
     )
-    return RunRequest(
-        command=ns.command,
-        matrix_path=ns.matrix,
-        b_path=getattr(ns, "b_matrix", None),
-        starts=starts,
-        config=cfg,
-        json_path=ns.json_path,
-        trace_path=ns.trace_path,
-    )
+    return ns
 
 
 def _fmt(x: float) -> str:
@@ -228,10 +197,9 @@ def emit_trace(records, csv_path) -> None:
             )
 
 
-def _run_verify(req: RunRequest) -> int:
-    target = req.command.split(":", 1)[1]
-    kind = _KINDS[target]
-    a = read_matrix(req.matrix_path)
+def _run_verify(req: argparse.Namespace) -> int:
+    kind = _KINDS[req.target]
+    a = read_matrix(req.matrix)
     b = read_matrix(req.b_path) if req.b_path else None
     scale = max(norm2(a), 1.0)
     if kind is PencilKind.KREISS_CONTINUOUS:
@@ -242,18 +210,18 @@ def _run_verify(req: RunRequest) -> int:
         spec = GridSpec((-2 * scale, 2 * scale, -2 * scale, 2 * scale), req.resolution, req.resolution)
     z, val = grid_min(Objective(kind, a, b), spec)
     quantity = val if kind is PencilKind.DIST_UNCONTROLLABLE else 1.0 / val
-    print(f"oracle {target}: quantity = {_fmt(quantity)} at z = {_fmt(z.real)} + {_fmt(z.imag)}i")
+    print(f"oracle {req.target}: quantity = {_fmt(quantity)} at z = {_fmt(z.real)} + {_fmt(z.imag)}i")
     if req.expect is not None:
         rel = abs(quantity - req.expect) / max(abs(req.expect), 1e-300)
         print(f"relative difference vs --expect: {_fmt(rel)}")
     return 0
 
 
-def run(req: RunRequest) -> int:
-    """Execute a request; returns the process exit code."""
-    if req.command.startswith("verify:"):
+def run(req: argparse.Namespace) -> int:
+    """Execute parsed arguments; returns the process exit code."""
+    if req.command == "verify":
         return _run_verify(req)
-    a = read_matrix(req.matrix_path)
+    a = read_matrix(req.matrix)
     if req.command == "kreiss-c":
         res = kreiss_continuous(a, list(req.starts), req.config)
         label = "K(A) [continuous]"

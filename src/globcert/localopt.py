@@ -125,8 +125,6 @@ class LocalMin:
 
     z: complex
     value: float
-    iterations: int
-    converged: bool = True
 
 
 # The one feasibility rule of the package: per objective, the conditions a
@@ -279,23 +277,20 @@ def descend(obj: Objective, z0: complex):
     """BFGS descent from ``z0`` as a generator; iterates stay strictly feasible.
 
     Yields once after each iteration that does not end the search, and
-    returns the ``LocalMin``.  Stops with ``converged=True`` when the
-    working-parameter gradient norm falls below ``GRAD_TOL * max(1, value)``,
-    when the value reaches ``obj.floor``, or when the step falls below
-    ``STEP_TOL`` relative; hitting the ``MAX_ITER`` cap returns the best
-    iterate with ``converged=False``.
+    returns the ``LocalMin``.  Stops when the working-parameter gradient norm
+    falls below ``GRAD_TOL * max(1, value)``, when the value reaches
+    ``obj.floor``, when no step length descends, when the step falls below
+    ``STEP_TOL`` relative, or after ``MAX_ITER`` iterations, returning the
+    best iterate.
     """
     p = _pack(obj.kind, check_start(obj.kind, z0))
     f, ng = objective_value_grad(obj, _unpack(obj.kind, p))
     g = _working_grad(obj.kind, p, ng)
     hinv = np.eye(2)
-    iters = 0
-    converged = False
 
-    while iters < MAX_ITER:
+    for _ in range(MAX_ITER):
         gnorm = float(np.linalg.norm(g))
         if gnorm <= GRAD_TOL * max(1.0, abs(f)) or f <= obj.floor:
-            converged = True
             break
         d = -hinv @ g
         if float(d @ g) >= 0.0:  # not a descent direction: reset curvature model
@@ -319,10 +314,8 @@ def descend(obj: Objective, z0: complex):
                 f_new = f_try
                 break
             step *= 0.5
-        iters += 1
         if f_new is None:
-            converged = True  # no descent along d at any step length: stationary
-            break
+            break  # no descent along d at any step length: stationary
         g_try = _working_grad(obj.kind, p_try, ng_try)
         s = p_try - p
         y = g_try - g
@@ -333,11 +326,10 @@ def descend(obj: Objective, z0: complex):
             v = np.eye(2) - rho * np.outer(s, y)
             hinv = v @ hinv @ v.T + rho * np.outer(s, s)
         if float(np.linalg.norm(s)) <= STEP_TOL * max(1.0, float(np.linalg.norm(p))):
-            converged = True
             break
         yield
 
-    return LocalMin(z=_unpack(obj.kind, p), value=float(f), iterations=iters, converged=converged)
+    return LocalMin(z=_unpack(obj.kind, p), value=float(f))
 
 
 def minimize(obj: Objective, z0: complex) -> LocalMin:

@@ -12,10 +12,9 @@ second member, never by numerical inversion, so the singularity guard is a
 pure scalar test.
 
 Everything in a reduced matrix that does not depend on the angle is gathered
-in ``PencilConstants``, built once per level: A^H and ||A||_2 (shared by all
-levels of a solve), the uncontrollability block ``B B^H / gamma - gamma I``,
-and an O(1)-per-angle upper bound on ||M(theta)||_2 that scales the
-certificate tolerances.
+in ``PencilConstants``, built once per level: A^H, I and ||A||_2, the
+uncontrollability block ``B B^H / gamma - gamma I``, and an O(1)-per-angle
+upper bound on ||M(theta)||_2 that scales the certificate tolerances.
 """
 
 from __future__ import annotations
@@ -87,19 +86,12 @@ class PencilConstants:
         return self.level_norm
 
 
-def pencil_constants(
-    kind: PencilKind, a: np.ndarray, b, gamma: float, base: Optional[PencilConstants] = None
-) -> PencilConstants:
+def pencil_constants(kind: PencilKind, a: np.ndarray, b, gamma: float) -> PencilConstants:
     """Constants of family ``kind`` at level ``gamma`` for validated complex A (and B).
 
-    ``base``, the constants of the same A at another level, lends its A^H, I
-    and ||A||_2, so a solve computes them once.  Raises the family's guard
-    errors when gamma itself is degenerate.
+    Raises the family's guard errors when gamma itself is degenerate.
     """
-    if base is None:
-        ah, eye, a_norm = a.conj().T, _eye_like(a), float(np.linalg.norm(a, 2))
-    else:
-        ah, eye, a_norm = base.ah, base.eye, base.a_norm
+    ah, eye, a_norm = a.conj().T, _eye_like(a), float(np.linalg.norm(a, 2))
     if kind is PencilKind.KREISS_CONTINUOUS:
         return PencilConstants(kind, gamma, ah, eye, a_norm)
     if kind is PencilKind.KREISS_DISCRETE:

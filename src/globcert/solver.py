@@ -54,6 +54,7 @@ package's one feasibility rule, and an infeasible start raises
 from __future__ import annotations
 
 import itertools
+import operator
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -65,7 +66,6 @@ import numpy as np
 from .certificates import (
     CertificateValue,
     NearZeroPencilEigenvalue,
-    chunk_length,
     eval_certificates,
     extract_restart_points,
 )
@@ -86,12 +86,7 @@ from .localopt import (
     check_start,
     descend,
 )
-from .pencils import (
-    NearSingularSecondMember,
-    PencilConstants,
-    PencilKind,
-    pencil_constants,
-)
+from .pencils import NearSingularSecondMember, PencilKind, pencil_constants
 
 __all__ = [
     "RestartRecord",
@@ -143,6 +138,11 @@ class SolverConfig:
     workers: int = 1
 
     def __post_init__(self):
+        # operator.index admits Python and numpy integers, nothing fractional
+        try:
+            operator.index(self.max_restarts), operator.index(self.workers)
+        except TypeError:
+            raise ValueError("max_restarts and workers must be integers") from None
         if self.max_restarts < 1 or self.workers < 1:
             raise ValueError("max_restarts and workers must be at least 1")
 
@@ -221,7 +221,6 @@ class _Driver:
         self.samples_per_round: list[int] = []
         self.round = 0
         self.status = SolveStatus.CONVERGED
-        self.const: Optional[PencilConstants] = None  # of the latest certificate level
         self.pool: Optional[ThreadPoolExecutor] = None  # while run() runs with workers > 1
 
     # -- optimization ------------------------------------------------------
@@ -306,17 +305,14 @@ class _Driver:
                 thetas = [float(t) for t in np.atleast_1d(thetas)]
                 missing = list(dict.fromkeys(t for t in thetas if t not in cache))
 
-                def chunk(ts):
-                    return eval_certificates(
-                        self.kind, self.a, self.b, gamma_cert, ts, self.const
-                    )
+                def part(ts):
+                    return eval_certificates(self.kind, self.a, self.b, gamma_cert, ts, const)
 
-                # a chunk is one stacked eigensolve; short batches are spread
-                # over the workers, and no value depends on where chunks split
-                workers = self.cfg.workers
-                step = max(1, min(chunk_length(self.a.shape[0]), -(-len(missing) // workers)))
-                chunks = [missing[i : i + step] for i in range(0, len(missing), step)]
-                cvs = list(itertools.chain.from_iterable(_pmap(chunk, chunks, self.pool)))
+                # one contiguous part per worker; eval_certificates sizes the
+                # stacks, and no value depends on where parts or stacks split
+                step = max(1, -(-len(missing) // self.cfg.workers))
+                parts = [missing[i : i + step] for i in range(0, len(missing), step)]
+                cvs = list(itertools.chain.from_iterable(_pmap(part, parts, self.pool)))
                 for t, cv in zip(missing, cvs):
                     cache[t] = cv.value
                     self.trace.append(
@@ -337,9 +333,7 @@ class _Driver:
                 return [cache[t] for t in thetas]
 
             try:
-                self.const = pencil_constants(
-                    self.kind, self.a, self.b, gamma_cert, base=self.const
-                )
+                const = pencil_constants(self.kind, self.a, self.b, gamma_cert)
                 return self._round_body(batch_eval)
             except (NearSingularSecondMember, NearZeroPencilEigenvalue):
                 # the level is degenerate at a sampled angle: lower the level

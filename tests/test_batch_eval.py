@@ -262,7 +262,7 @@ def test_near_singular_second_member_names_first_offending_angle():
         eval_certificates(KC, a, None, gamma, [0.1, -bad, bad], const)
 
 
-def test_near_zero_eigenvalue_names_first_offending_angle():
+def test_near_zero_eigenvalue_names_first_offending_angle(monkeypatch):
     # a tiny eigenvalue of A leaves a pencil eigenvalue below 1e-14 times the
     # continuous-time norm bound for theta < ~0.9 at gamma = 1.5, not above
     a = np.diag([-1.0, -3e-14]).astype(np.complex128)
@@ -276,8 +276,12 @@ def test_near_zero_eigenvalue_names_first_offending_angle():
             eval_certificate(KC, a, None, gamma, th, const)
     with pytest.raises(NearZeroPencilEigenvalue, match=f"at theta={0.3!r}$"):
         eval_certificates(KC, a, None, gamma, [1.4, 0.3, 1.2, 0.1], const)
-    # errors of both kinds: the one at the earlier angle is raised
+    # errors of both kinds in one chunk: the stacked build raises for the
+    # singular second member first, wherever it is; in separate chunks the
+    # earlier chunk's error is raised
+    for thetas in ([1.4, 0.3, singular], [1.4, singular, 0.3]):
+        with pytest.raises(NearSingularSecondMember, match=f"at theta={singular!r}$"):
+            eval_certificates(KC, a, None, gamma, thetas, const)
+    monkeypatch.setattr(linalg, "CHUNK_BYTES", 2 * 16 * (2 * a.shape[0]) ** 2)
     with pytest.raises(NearZeroPencilEigenvalue, match=f"at theta={0.3!r}$"):
         eval_certificates(KC, a, None, gamma, [1.4, 0.3, singular], const)
-    with pytest.raises(NearSingularSecondMember, match=f"at theta={singular!r}$"):
-        eval_certificates(KC, a, None, gamma, [1.4, singular, 0.3], const)

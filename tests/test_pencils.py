@@ -108,6 +108,13 @@ def test_guards():
         reduced_kd_matrix(a, 1.0 + 5e-13, 0.2)
     with pytest.raises(NonpositiveGamma):
         reduced_dtu_matrix(a, np.ones((2, 1)), 0.0, 0.1)
+    # the constants of a degenerate level raise the same errors
+    gen = rng(30)
+    a, b = random_complex(gen, 4), random_complex(gen, 4, 2)
+    with pytest.raises(NearSingularSecondMember):
+        pencil_constants(PencilKind.KREISS_DISCRETE, a, None, 1.0 - 5e-13)
+    with pytest.raises(NonpositiveGamma):
+        pencil_constants(PencilKind.DIST_UNCONTROLLABLE, a, b, 0.0)
 
 
 def test_structure_invariants_random():
@@ -154,22 +161,6 @@ def test_norm_bound_dominates_reduced_norm():
             assert bound >= norm * (1.0 - 1e-14), (kind, bound, norm)
             if exact:
                 assert_close(bound, norm, rel=1e-12)
-
-
-def test_pencil_constants_reuse_base():
-    gen = rng(30)
-    a = random_complex(gen, 4)
-    b = random_complex(gen, 4, 2)
-    first = pencil_constants(PencilKind.DIST_UNCONTROLLABLE, a, b, 0.3)
-    second = pencil_constants(PencilKind.DIST_UNCONTROLLABLE, a, b, 0.7, base=first)
-    fresh = pencil_constants(PencilKind.DIST_UNCONTROLLABLE, a, b, 0.7)
-    assert second.ah is first.ah and second.a_norm == first.a_norm
-    assert np.array_equal(second.b_tilde, fresh.b_tilde)
-    assert second.level_norm == fresh.level_norm
-    with pytest.raises(NearSingularSecondMember):
-        pencil_constants(PencilKind.KREISS_DISCRETE, a, None, 1.0 - 5e-13, base=first)
-    with pytest.raises(NonpositiveGamma):
-        pencil_constants(PencilKind.DIST_UNCONTROLLABLE, a, b, 0.0, base=first)
 
 
 def test_determinant_identities():

@@ -524,6 +524,11 @@ def test_solver_config_validation():
         SolverConfig(workers=0)
     with pytest.raises(ValueError):
         SolverConfig(max_restarts=0)
+    # a fractional count was accepted, and the solve then raised TypeError
+    for bad in ({"workers": 1.5}, {"max_restarts": 2.0}, {"workers": "2"}):
+        with pytest.raises(ValueError, match="must be integers"):
+            SolverConfig(**bad)
+    assert SolverConfig(max_restarts=np.int64(3), workers=np.int32(2)).workers == 2
 
 
 def test_dtu_hermitian_symmetry_reduction():
