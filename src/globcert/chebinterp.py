@@ -8,10 +8,11 @@ interpolant has at most ``MAX_PIECES`` pieces; running out raises
 ``BudgetExceeded``.  A caller that needs only the zero set of a
 nonnegative function relaxes that tolerance, piece by piece, to a fraction
 of the piece's smallest sample (``approximate(..., zero_set_only=True)``).
-When the ladder stalls on a nonsmooth feature, the feature is located by a
-shrinking-window scan of fourth differences and the interval is split there,
-recursing on both halves; features hugging a boundary yield geometrically
-graded pieces.  Sampling happens in batches:
+A ladder that stalls hands its series to ``approximate``, which alone
+decides whether the piece is kept or split.  A split locates the nonsmooth
+feature by a shrinking-window scan of fourth differences and cuts the
+interval there, recursing on both halves; features hugging a boundary yield
+geometrically graded pieces.  Sampling happens in batches:
 every batch may be evaluated concurrently by the caller, and a
 caller-supplied predicate can abort the whole construction as soon as any
 batch contains a triggering sample.  The construction is deterministic: it
@@ -20,10 +21,10 @@ depends only on the sampled values, never on evaluation order.
 Values and coefficients are exchanged by a DCT-I computed as numpy's real
 FFT of the even extension, so the engine imports nothing beyond numpy.
 
-Root finding subdivides the coefficients down to colleague-matrix size for
-moderate degrees and brackets sign changes on an oversampled value grid for
-high ones; global minimization combines piece endpoints with derivative
-roots (moderate degrees) or polished grid minima (high degrees).
+Roots of a series of degree at most 128 are the real eigenvalues of its
+colleague matrix; above that, sign changes are bracketed on an oversampled
+value grid.  Global minimization combines piece endpoints with derivative
+roots (degree at most 64) or polished grid minima (higher degrees).
 """
 
 from __future__ import annotations
@@ -149,7 +150,7 @@ def _cheb_derivative(c: np.ndarray) -> np.ndarray:
 
 
 def _colleague_roots(c: np.ndarray) -> np.ndarray:
-    """Eigenvalues of the colleague matrix of a low-degree Chebyshev series."""
+    """Eigenvalues of the colleague matrix of a Chebyshev series."""
     n = len(c) - 1
     mat = np.zeros((n, n))
     if n == 1:
@@ -206,8 +207,8 @@ def _newton_on_derivative(c: np.ndarray, dc: np.ndarray, x: float, steps: int = 
 def _unit_roots(c: np.ndarray, tiny: float) -> list[float]:
     """Real roots of a Chebyshev series in [-1, 1].
 
-    Subdivision on the coefficients down to colleague-matrix size for
-    moderate degrees; for high degrees, sign changes are bracketed on a
+    Up to degree 128, the real eigenvalues of the colleague matrix, each
+    polished by Newton; above it, sign changes are bracketed on a
     twice-oversampled value grid (obtained by the real-FFT DCT-I) and each
     bracket is resolved by bisection plus Newton polish.  Grid minima of |p|
     that dip to the rounding floor are kept as tangential-root candidates.
@@ -221,21 +222,10 @@ def _unit_roots(c: np.ndarray, tiny: float) -> list[float]:
     if n == 0 or (n == 1 and c[1] == 0.0):
         return []
     dc = _cheb_derivative(c)
-    if n <= 32:
+    if n <= 128:
         z = _colleague_roots(c)
         keep = z[(np.abs(z.imag) <= 1e-8) & (np.abs(z.real) <= 1.0 + 1e-8)].real
         return [_newton_polish(c, dc, min(1.0, max(-1.0, float(x)))) for x in np.sort(keep)]
-    if n <= 128:
-        # subdivide: re-expand the polynomial on each half at enough points
-        out = []
-        for lo, hi in ((-1.0, 0.0), (0.0, 1.0)):
-            t = chebpts(n, lo, hi)
-            sub = vals2coeffs(_clenshaw(c, t))
-            for u in _unit_roots(sub, tiny):
-                x = 0.5 * (lo + hi) + 0.5 * (hi - lo) * u
-                if lo - 1e-12 <= x <= hi + 1e-12:
-                    out.append(min(1.0, max(-1.0, x)))
-        return out
     # high degree: bracket sign changes on an oversampled grid
     m = 2 * n
     vals = coeffs2vals(np.concatenate([c, np.zeros(m - n)]))
@@ -416,17 +406,16 @@ class Aborted:
     sample_count: int
 
 
-SamplingOutcome = Completed | Aborted
-
-
 class _Abort(Exception):
     def __init__(self, triggers):
         self.triggers = triggers
 
 
 class _NeedSplit(Exception):
-    def __init__(self, best_coeffs, plateau):
-        self.best_coeffs = best_coeffs
+    """A stalled ladder: its series, trimmed as a kept piece's, and its tail."""
+
+    def __init__(self, coeffs, plateau):
+        self.coeffs = coeffs
         self.plateau = plateau
 
 
@@ -540,10 +529,12 @@ def _run_ladder(sampler: _Sampler, a: float, b: float, zero_set_only: bool) -> n
     sample values near 0 are resolved to ``TOL``.  With a floor of 0 the
     rule is the uniform ``TOL`` contract.
 
-    A stalled piece is also accepted when its tail is within the documented
-    validation-error contract (50 * TOL * scale): splitting a piece that is
-    already within contract burns budget chasing sub-contract wiggles, e.g.
-    square-root kinks of rounding-level amplitude.
+    Any other exit raises ``_NeedSplit`` with the series, trimmed the same
+    way, and its tail, and ``approximate`` keeps or splits the piece.  That
+    exit comes at ``MAX_DEGREE``, or earlier once the tail has stalled
+    (fallen by less than 8 per doubling) on two rungs in a row from 65
+    points on, unless the tail lies in (50, 1e3] times ``TOL * scale``:
+    above the validation contract, but close enough to finish by doubling.
     """
     m = MIN_SAMPLES - 1
     prev_tail = np.inf
@@ -564,18 +555,9 @@ def _run_ladder(sampler: _Sampler, a: float, b: float, zero_set_only: bool) -> n
                 return _trim_coeffs(coeffs, 0.5 * target)
         stalls = stalls + 1 if tail > 0.125 * prev_tail else 0
         prev_tail = tail
-        within_contract = tail <= 50.0 * TOL * fscale
-        if stalls >= 2 and m + 1 >= 65:
-            if within_contract:
-                return _trim_coeffs(coeffs, 0.5 * target)
-            # split only when the plateau sits far above the target: a tail
-            # within a few decades of TOL is cheaper to finish by doubling
-            if tail > 1e3 * TOL * fscale:
-                raise _NeedSplit(coeffs, tail)
-        if 2 * m + 1 > MAX_DEGREE:
-            if within_contract:
-                return _trim_coeffs(coeffs, 0.5 * target)
-            raise _NeedSplit(coeffs, tail)  # caller splits, or converts to BudgetExceeded
+        closing_in = 50.0 * TOL * fscale < tail <= 1e3 * TOL * fscale
+        if (stalls >= 2 and m + 1 >= 65 and not closing_in) or 2 * m + 1 > MAX_DEGREE:
+            raise _NeedSplit(_trim_coeffs(coeffs, 0.5 * target), tail)
         m *= 2
 
 
@@ -586,8 +568,18 @@ def approximate(
     abort_on: Optional[Callable[[float], bool]] = None,
     *,
     zero_set_only: bool = False,
-) -> SamplingOutcome:
+) -> Completed | Aborted:
     """Adaptively approximate ``fn`` on [lo, hi], or abort on a trigger.
+
+    Each piece's ladder either accepts a series or stalls (``_run_ladder``),
+    and this function alone keeps or splits a stalled piece.  It keeps the
+    stalled series when its plateau is within the validation contract of
+    50 * ``TOL`` times the sampled scale (splitting such a piece chases
+    sub-contract wiggles, e.g. square-root kinks of rounding-level
+    amplitude), when the plateau is noise-limited (at most 1e-6 of the scale
+    and at least half its parent's: splitting barely lowered it, e.g. a
+    defective eigenvalue coalescence under the hood), or when the piece is
+    no wider than 64 eps times the domain.  Otherwise it splits.
 
     Parameters
     ----------
@@ -612,8 +604,9 @@ def approximate(
     Raises
     ------
     BudgetExceeded
-        When a piece stalls at ``MAX_DEGREE`` points and splitting it would
-        exceed ``MAX_PIECES`` pieces.
+        When a stalled piece is to be split, early or at ``MAX_DEGREE``
+        points, and splitting it would exceed ``MAX_PIECES`` pieces.  No
+        sample is drawn after that stall.
     """
     if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
         raise ValueError(f"invalid interval [{lo!r}, {hi!r}]")
@@ -630,34 +623,31 @@ def approximate(
         while pending:
             a, b, parent_plateau, hint = pending.pop(0)
             try:
-                coeffs = _run_ladder(sampler, a, b, zero_set_only)
-            except _NeedSplit as ns:
-                # a plateau that splitting barely lowers AND that is already
-                # tiny relative to the sampled scale is noise-limited, e.g. a
-                # defective eigenvalue coalescence under the hood; keep the
-                # best coefficients rather than recurse toward machine width
-                noise_limited = (
-                    ns.plateau >= 0.5 * parent_plateau
-                    and ns.plateau <= 1e-6 * max(sampler.scale, np.finfo(float).tiny)
-                )
-                if noise_limited or (b - a) <= width_floor:
-                    done.append(ChebPiece(a, b, ns.best_coeffs))
-                    continue
-                if splits_used + 1 >= MAX_PIECES:
-                    raise BudgetExceeded(f"piece budget MAX_PIECES={MAX_PIECES} exhausted") from None
-                # reuse a feature already located in this interval by the
-                # parent; only fresh features pay for edge location
-                x = hint if hint is not None and a < hint < b else _locate_edge(sampler, a, b)
-                feature = x
-                # a feature hugging a boundary would otherwise shave slivers
-                # off the piece; clamping the cut to the inner 80% grades the
-                # pieces geometrically toward the feature instead
-                x = min(max(x, a + 0.1 * (b - a)), b - 0.1 * (b - a))
-                splits_used += 1
-                pending.insert(0, (x, b, ns.plateau, feature))
-                pending.insert(0, (a, x, ns.plateau, feature))
+                done.append(ChebPiece(a, b, _run_ladder(sampler, a, b, zero_set_only)))
                 continue
-            done.append(ChebPiece(a, b, coeffs))
+            except _NeedSplit as ns:
+                coeffs, plateau = ns.coeffs, ns.plateau
+            scale = max(sampler.scale, np.finfo(float).tiny)
+            if (
+                plateau <= 50.0 * TOL * scale  # within the validation contract
+                or 0.5 * parent_plateau <= plateau <= 1e-6 * scale  # noise-limited
+                or b - a <= width_floor
+            ):
+                done.append(ChebPiece(a, b, coeffs))
+                continue
+            if splits_used + 1 >= MAX_PIECES:
+                raise BudgetExceeded(f"piece budget MAX_PIECES={MAX_PIECES} exhausted")
+            # reuse a feature already located in this interval by the
+            # parent; only fresh features pay for edge location
+            x = hint if hint is not None and a < hint < b else _locate_edge(sampler, a, b)
+            feature = x
+            # a feature hugging a boundary would otherwise shave slivers
+            # off the piece; clamping the cut to the inner 80% grades the
+            # pieces geometrically toward the feature instead
+            x = min(max(x, a + 0.1 * (b - a)), b - 0.1 * (b - a))
+            splits_used += 1
+            pending.insert(0, (x, b, plateau, feature))
+            pending.insert(0, (a, x, plateau, feature))
     except _Abort as ab:
         return Aborted(trigger_samples=ab.triggers, sample_count=sampler.count)
 

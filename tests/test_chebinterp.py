@@ -118,7 +118,7 @@ def test_roots_of_sin():
 def test_roots_of_a_high_degree_piece():
     # the pole at +-i/5 slows the coefficient decay enough that one piece
     # needs more than 129 coefficients, so its roots are bracketed on the
-    # oversampled grid rather than found by subdivision
+    # oversampled grid rather than taken from the colleague matrix
     f = lambda x: np.sin(30.0 * x) / (1.0 + 25.0 * x * x)
     interp = approximate(batch(f), -1, 1).interpolant
     assert max(len(p.coeffs) for p in interp.pieces) > 129
@@ -129,6 +129,27 @@ def test_roots_of_a_high_degree_piece():
     xs = np.linspace(-1, 1, 41)
     assert np.array_equal(interp(xs), [interp.evaluate(float(x)) for x in xs])
     assert interp(0.3) == interp.evaluate(0.3)
+
+
+@pytest.mark.parametrize(
+    "f, a, b, size, expect",
+    [
+        # two simple roots 1e-4 apart
+        (lambda x: (x - 0.3) * (x - 0.3001) * (2.0 + np.sin(15.0 * x)), -1.0, 1.0, 50, [0.3, 0.3001]),
+        (lambda x: np.sin(40.0 * x) * np.exp(x), -1.0, 1.0, 73, np.pi / 40.0 * np.arange(-12, 13)),
+        # a root at the left endpoint of the piece
+        (lambda x: np.sin(30.0 * (x - 2.0)) * np.exp(-x), 2.0, 5.0, 90, 2.0 + np.pi / 30.0 * np.arange(29)),
+        (lambda x: np.sin(72.0 * x), -1.0, 1.0, 120, np.pi / 72.0 * np.arange(-22, 23)),
+    ],
+    ids=["close-pair", "sin40-exp", "sin30-offset", "sin72"],
+)
+def test_roots_at_moderate_degree(f, a, b, size, expect):
+    # one piece of 50 to 120 coefficients, interpolating f at that many
+    # points: every known root is found to 1e-10, none missing, none extra
+    piece = ChebPiece(a, b, vals2coeffs(f(chebinterp.chebpts(size - 1, a, b))))
+    roots = PiecewiseCheb((piece,), (a, b)).roots()
+    assert len(roots) == len(expect)
+    assert np.max(np.abs(roots - np.asarray(expect))) <= 1e-10
 
 
 def test_roots_none_and_double():
@@ -296,6 +317,50 @@ def test_budget_exceeded_stops_sampling(monkeypatch):
     with pytest.raises(BudgetExceeded, match="MAX_PIECES"):
         approximate(fn, -1, 1)
     assert calls_at_stall and calls_at_stall[-1] == len(calls)
+
+
+# One case per outcome of a stalled ladder, on 1 + s|x|: the kink's
+# coefficients are 4s / (pi (m^2 - 1)) at even m, so the tail falls by 4 per
+# doubling and the ladder has stalled twice by 65 points, with a tail of
+# 3.1e-4 s against a scale of about 1.  At s = 4e-9 that tail (1.5e-12) is
+# within 50 * TOL and the piece is kept; at s = 2.5e-8 (9.6e-12) the ladder
+# doubles once more to 129 points, where the tail (2.4e-12) is within the
+# contract; at s = 1e-5 (3.1e-9, above 1e3 * TOL) the piece splits at 0.
+@pytest.mark.parametrize(
+    "s, rung, n_pieces",
+    [(4e-9, 65, 1), (2.5e-8, 129, 1), (1e-5, 65, 2)],
+    ids=["within-contract-keeps", "closing-in-doubles", "far-above-splits"],
+)
+def test_stalled_ladder_keeps_doubles_or_splits(monkeypatch, s, rung, n_pieces):
+    samples = []
+
+    def fn(xs):
+        samples.extend(xs)
+        return [1.0 + s * abs(float(x)) for x in xs]
+
+    recorded = []
+    run_ladder = chebinterp._run_ladder
+
+    def recording_ladder(*args):
+        try:
+            coeffs = run_ladder(*args)
+        except chebinterp._NeedSplit:
+            recorded.append(("stall", len(samples)))
+            raise
+        recorded.append(("accept", len(samples)))
+        return coeffs
+
+    monkeypatch.setattr(chebinterp, "_run_ladder", recording_ladder)
+    out = approximate(fn, -1, 1)
+    assert isinstance(out, Completed)
+    assert recorded[0] == ("stall", rung)
+    assert len(out.interpolant.pieces) == n_pieces
+    if n_pieces == 1:
+        assert len(recorded) == 1
+        assert len(out.interpolant.pieces[0].coeffs) == rung
+    else:
+        assert out.interpolant.pieces[0].b == 0.0
+        assert all(kind == "accept" for kind, _ in recorded[1:])
 
 
 # One case per give-up exit of the ladder, each a feature at 0.3 that no
