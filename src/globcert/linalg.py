@@ -28,8 +28,10 @@ __all__ = [
 ]
 
 # Bytes of matrices stacked into one eigensolve or SVD call: the
-# certificate's reduced matrices, and the objective's matrices.
-CHUNK_BYTES = 1 << 20
+# certificate's reduced matrices, and the objective's matrices.  The time
+# per matrix of a stacked call does not fall with the stack's length, so
+# small stacks cost no time and keep the working memory small.
+CHUNK_BYTES = 1 << 18
 
 
 class DecompositionError(RuntimeError):

@@ -45,8 +45,10 @@ def read_matrix(path) -> np.ndarray:
         (i + 1, ln.strip()) for i, ln in enumerate(lines[1:], start=1)
         if ln.strip() and not ln.lstrip().startswith("%")
     ]
+    # a missing line is reported at the line after the last one
+    end = len(lines) + 1
     if not body:
-        raise MatrixMarketError(f"{path}: missing size line")
+        raise MatrixMarketError(f"{path}: line {end}: missing size line")
     size_no, size_line = body[0]
     parts = size_line.split()
     want = 2 if fmt == "array" else 3
@@ -76,19 +78,18 @@ def read_matrix(path) -> np.ndarray:
             ) from None
 
     entries = body[1:]
+    count = rows * cols if fmt == "array" else dims[2]
+    if len(entries) != count:
+        # the first surplus entry, or the end of the file
+        lineno = entries[count][0] if 0 <= count < len(entries) else end
+        raise MatrixMarketError(
+            f"{path}: line {lineno}: expected {count} {fmt} entries, got {len(entries)}"
+        )
     if fmt == "array":
-        if len(entries) != rows * cols:
-            raise MatrixMarketError(
-                f"{path}: expected {rows * cols} array entries, got {len(entries)}"
-            )
         for k, (lineno, ln) in enumerate(entries):
             j, i = divmod(k, rows)  # column-major
             m[i, j] = parse_value(ln.split(), lineno)
     else:
-        if len(entries) != dims[2]:
-            raise MatrixMarketError(
-                f"{path}: expected {dims[2]} coordinate entries, got {len(entries)}"
-            )
         for lineno, ln in entries:
             fields = ln.split()
             if len(fields) < 3:

@@ -20,7 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .localopt import Objective, minimize, objective_values
+from .linalg import DecompositionError
+from .localopt import InfeasiblePoint, InfeasibleStart, Objective, minimize, objective_values
 
 __all__ = ["GridSpec", "grid_min"]
 
@@ -77,9 +78,11 @@ def grid_min(obj: Objective, spec: GridSpec) -> tuple[complex, float]:
         if len(starts) >= 10:
             break
     for z0 in starts:
+        # drop a start as the solver's race drops one; any other error is a
+        # defect and propagates
         try:
             res = minimize(obj, z0)
-        except Exception:
+        except (InfeasibleStart, InfeasiblePoint, DecompositionError):
             continue
         if res.value < best_v:
             best_v, best_z = res.value, res.z

@@ -56,10 +56,11 @@ from __future__ import annotations
 import itertools
 import operator
 import time
-from concurrent.futures import ThreadPoolExecutor
+from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
@@ -88,11 +89,15 @@ from .localopt import (
 )
 from .pencils import NearSingularSecondMember, PencilKind, pencil_constants
 
+if TYPE_CHECKING:
+    from concurrent.futures import ThreadPoolExecutor
+
 __all__ = [
     "RestartRecord",
     "SolveResult",
     "SolveStatus",
     "SolverConfig",
+    "Trace",
     "TraceRecord",
     "ZeroEigenvalue",
     "dtu",
@@ -165,6 +170,64 @@ class TraceRecord:
     stage: str  # probe | final-min | root-midpoint
 
 
+_STAGES = ("probe", "final-min", "root-midpoint")
+
+
+class Trace(Sequence):
+    """The certificate samples of a solve: a read-only sequence of ``TraceRecord``.
+
+    A solve takes one sample per certificate evaluation, tens of thousands
+    of them, so the records are stored packed, one ``array`` column per
+    field, and built as they are read.  A trace equals any sequence of
+    equal records, ``()`` included, and hashes as the tuple of its records;
+    a slice is a tuple of records.
+    """
+
+    __slots__ = ("_round", "_gamma", "_theta", "_value", "_n_candidates", "_stage")
+
+    def __init__(self):
+        self._round, self._n_candidates = array("q"), array("q")
+        self._gamma, self._theta, self._value = array("d"), array("d"), array("d")
+        self._stage = array("b")  # index into _STAGES
+
+    def _append(self, rnd, gamma, theta, value, n_candidates, stage) -> None:
+        self._round.append(rnd)
+        self._gamma.append(gamma)
+        self._theta.append(theta)
+        self._value.append(value)
+        self._n_candidates.append(n_candidates)
+        self._stage.append(_STAGES.index(stage))
+
+    def _columns(self):
+        return (
+            self._round, self._gamma, self._theta, self._value, self._n_candidates, self._stage
+        )
+
+    def __len__(self) -> int:
+        return len(self._round)
+
+    def __iter__(self):
+        for *fields, stage in zip(*self._columns()):
+            yield TraceRecord(*fields, _STAGES[stage])
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(self[j] for j in range(*i.indices(len(self))))
+        *fields, stage = (column[i] for column in self._columns())
+        return TraceRecord(*fields, _STAGES[stage])
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(map(operator.eq, self, other))
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return f"Trace(<{len(self)} records>)"
+
+
 @dataclass(frozen=True)
 class SolveResult:
     """Final value, derived quantity, minimizer, and the run's history."""
@@ -175,11 +238,11 @@ class SolveResult:
     status: SolveStatus
     restarts: tuple[RestartRecord, ...] = ()
     certificate_samples: tuple[int, ...] = ()
-    trace: tuple[TraceRecord, ...] = ()
+    trace: Sequence[TraceRecord] = ()
     wall_time_s: float = 0.0
 
 
-def _pmap(fn, items, pool: Optional[ThreadPoolExecutor]) -> list:
+def _pmap(fn, items, pool: Optional["ThreadPoolExecutor"]) -> list:
     items = list(items)
     if pool is None or len(items) <= 1:
         return [fn(x) for x in items]
@@ -217,11 +280,11 @@ class _Driver:
         self.gamma = np.inf
         self.zstar: complex = complex(np.nan, np.nan)
         self.restarts: list[RestartRecord] = []
-        self.trace: list[TraceRecord] = []
+        self.trace = Trace()
         self.samples_per_round: list[int] = []
         self.round = 0
         self.status = SolveStatus.CONVERGED
-        self.pool: Optional[ThreadPoolExecutor] = None  # while run() runs with workers > 1
+        self.pool: Optional["ThreadPoolExecutor"] = None  # while run() runs with workers > 1
 
     # -- optimization ------------------------------------------------------
 
@@ -315,15 +378,8 @@ class _Driver:
                 cvs = list(itertools.chain.from_iterable(_pmap(part, parts, self.pool)))
                 for t, cv in zip(missing, cvs):
                     cache[t] = cv.value
-                    self.trace.append(
-                        TraceRecord(
-                            round=self.round,
-                            gamma=gamma_cert,
-                            theta=t,
-                            value=cv.value,
-                            n_candidates=len(cv.candidates),
-                            stage=stage,
-                        )
+                    self.trace._append(
+                        self.round, gamma_cert, t, cv.value, len(cv.candidates), stage
                     )
                 self.samples_per_round[-1] += len(missing)
                 # each zero is assessed once, by the batch that first samples it
@@ -381,8 +437,11 @@ class _Driver:
     # -- main loop ----------------------------------------------------------
 
     def run(self) -> "_Driver":
-        # one pool serves every race round and certificate batch of the solve
+        # one pool serves every race round and certificate batch of the solve;
+        # a one-worker solve never imports the thread pool
         if self.cfg.workers > 1:
+            from concurrent.futures import ThreadPoolExecutor
+
             self.pool = ThreadPoolExecutor(self.cfg.workers)
         try:
             return self._loop()
@@ -427,7 +486,7 @@ def _finish(driver: _Driver, quantity_of, t0: float) -> SolveResult:
         status=driver.status,
         restarts=tuple(driver.restarts),
         certificate_samples=tuple(driver.samples_per_round),
-        trace=tuple(driver.trace),
+        trace=driver.trace,
         wall_time_s=time.perf_counter() - t0,
     )
 

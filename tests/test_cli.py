@@ -121,29 +121,69 @@ def test_matrix_market_coordinate_complex(tmp_path):
     assert np.allclose(m, np.diag([-1.0, -2.0]))
 
 
-def test_matrix_market_rejects_symmetry_and_garbage(tmp_path):
+_MM_ARRAY = "%%MatrixMarket matrix array real general\n"
+_MM_COORD = "%%MatrixMarket matrix coordinate real general\n"
+
+
+@pytest.mark.parametrize(
+    "text, line, message",
+    [
+        pytest.param("", 1, "empty file", id="empty-file"),
+        pytest.param("%%MatrixMarket matrix array real\n2 2\n", 1, "bad header", id="header"),
+        pytest.param(
+            "%%MatrixMarket matrix dense real general\n", 1, "unsupported format 'dense'",
+            id="format",
+        ),
+        pytest.param(
+            "%%MatrixMarket matrix array pattern general\n", 1, "unsupported field 'pattern'",
+            id="field",
+        ),
+        pytest.param(
+            "%%MatrixMarket matrix array real symmetric\n2 2\n1\n2\n3\n4\n", 1,
+            "only general symmetry", id="symmetry",
+        ),
+        pytest.param(_MM_ARRAY + "% a comment\n\n", 4, "missing size line", id="no-size-line"),
+        pytest.param(_MM_COORD + "2 2\n", 2, "expected 3 size fields", id="size-fields"),
+        pytest.param(_MM_ARRAY + "2 x\n1\n2\n3\n4\n", 2, "non-integer size", id="size-value"),
+        pytest.param(_MM_ARRAY + "0 2\n", 2, "empty dimensions", id="empty-dimensions"),
+        pytest.param(_MM_ARRAY + "2 2\n1\nabc\n3\n4\n", 4, "bad real value 'abc'", id="value"),
+        pytest.param(_MM_ARRAY + "1 2\n1\n1 2\n", 4, "bad real value '1 2'", id="value-fields"),
+        pytest.param(
+            "%%MatrixMarket matrix array complex general\n1 1\n1\n", 3, "bad complex value '1'",
+            id="complex-value-fields",
+        ),
+        pytest.param(
+            _MM_ARRAY + "2 2\n1\n2\n3\n", 6, "expected 4 array entries, got 3", id="too-few"
+        ),
+        pytest.param(
+            _MM_COORD + "2 2 1\n1 1 1\n2 2 1\n", 4, "expected 1 coordinate entries, got 2",
+            id="too-many",
+        ),
+        pytest.param(_MM_COORD + "2 2 1\n1 1\n", 3, "short entry", id="short-entry"),
+        pytest.param(_MM_COORD + "2 2 1\n1 x 1.0\n", 3, "non-integer indices", id="index-value"),
+        pytest.param(_MM_COORD + "2 2 1\n3 1 1.0\n", 3, "index out of range", id="index-above"),
+        pytest.param(_MM_COORD + "2 2 1\n1 0 1.0\n", 3, "index out of range", id="index-below"),
+    ],
+)
+def test_matrix_market_errors_name_the_file_and_line(tmp_path, text, line, message):
     path = tmp_path / "m.mtx"
-    path.write_text("%%MatrixMarket matrix array real symmetric\n2 2\n1\n2\n3\n4\n")
-    with pytest.raises(MatrixMarketError):
-        read_matrix(path)
-    path.write_text("%%MatrixMarket matrix array real general\n2 2\n1\nhello\n3\n4\n")
+    path.write_text(text)
     with pytest.raises(MatrixMarketError) as info:
         read_matrix(path)
-    assert "line" in str(info.value)
+    assert str(info.value).startswith(f"{path}: line {line}: "), str(info.value)
+    assert message in str(info.value)
 
 
-def test_matrix_market_errors_name_the_file_line(tmp_path):
-    path = tmp_path / "m.mtx"
-    cases = [
-        ("%%MatrixMarket matrix array real general\n2 x\n1\n2\n3\n4\n", "line 2:"),
-        ("%%MatrixMarket matrix array real general\n2 2\n1\nabc\n3\n4\n", "line 4:"),
-        ("%%MatrixMarket matrix coordinate real general\n2 2 1\n3 1 1.0\n", "line 3:"),
-    ]
-    for text, where in cases:
-        path.write_text(text)
-        with pytest.raises(MatrixMarketError) as info:
-            read_matrix(path)
-        assert where in str(info.value), (where, str(info.value))
+def test_write_matrix_rejects_an_unknown_format(tmp_path):
+    with pytest.raises(ValueError, match="unsupported format 'csv'"):
+        write_matrix(tmp_path / "m.mtx", np.eye(2), fmt="csv")
+
+
+def test_cli_reports_a_malformed_matrix_file(tmp_path, capsys):
+    path = tmp_path / "A.mtx"
+    path.write_text(_MM_ARRAY + "2 x\n")
+    assert main(["kreiss-c", str(path)]) == 1
+    assert f"globcert: error: {path}: line 2: non-integer size" in capsys.readouterr().err
 
 
 def test_round_trip_both_formats(tmp_path):
@@ -344,8 +384,9 @@ def test_console_script_help():
 
 def test_imports_load_no_scipy(tmp_path):
     # numpy is the one runtime dependency: with every scipy import refused,
-    # the README example, a dtu solve and the grid oracle still run, and
-    # importing the package loads no scipy module
+    # the README example, a dtu solve and the grid oracle still run.
+    # Importing the package and a one-worker solve load no scipy module and
+    # no thread pool (concurrent.futures)
     src = str(Path(cli.__file__).resolve().parents[1])
     path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
@@ -360,20 +401,22 @@ def test_imports_load_no_scipy(tmp_path):
         "        if name.partition('.')[0] == 'scipy':\n"
         "            raise ImportError(f'{name} is refused')\n"
         "sys.meta_path.insert(0, RefuseScipy())\n"
-        "def scipy_modules():\n"
-        "    return sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))\n"
+        "def unwanted_modules():\n"
+        "    return sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'\n"
+        "                  or m.startswith('concurrent.futures'))\n"
         "import globcert\n"
-        "print(scipy_modules())\n"
+        "print(unwanted_modules())\n"
         "import globcert.cli\n"
-        "print(scipy_modules())\n"
-        "exec(compile(sys.argv[1], 'README.md', 'exec'), {})\n"
+        "print(unwanted_modules())\n"
         "res = globcert.dtu([[2.0]], [[1.0]], [3.0], globcert.SolverConfig(workers=1))\n"
         "assert res.status is globcert.SolveStatus.CONVERGED, res.status\n"
+        "print(unwanted_modules())\n"
+        "exec(compile(sys.argv[1], 'README.md', 'exec'), {})\n"
         "sys.exit(globcert.cli.main(['verify', 'kreiss-d', sys.argv[2], '--resolution', '60']))\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code, example, str(a_path)], capture_output=True, text=True, env=env
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split("\n")[:2] == ["[]", "[]"], proc.stdout[:500]
+    assert proc.stdout.split("\n")[:3] == ["[]", "[]", "[]"], proc.stdout[:500]
     assert "oracle kreiss-d: quantity = " in proc.stdout

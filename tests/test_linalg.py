@@ -5,10 +5,12 @@ import pytest
 
 from conftest import assert_close, random_complex, rng
 from globcert.linalg import (
+    DecompositionError,
     as_complex_matrix,
     eigenvalues,
     is_normal,
     norm2,
+    sigma_min,
     spectral_abscissa,
     spectral_radius,
     svd_triplet,
@@ -23,6 +25,8 @@ def test_as_complex_matrix_rejects_bad_input():
         as_complex_matrix([[np.nan, 1.0]])
     with pytest.raises(ValueError):
         as_complex_matrix([[np.inf]])
+    with pytest.raises(ValueError, match="expected a 2-D matrix, got ndim=3"):
+        as_complex_matrix(np.zeros((2, 2, 2)))
 
 
 def test_smallest_singular_triplet_identity():
@@ -111,6 +115,7 @@ def test_is_normal():
     assert not is_normal(np.array([[0.0, 1.0], [0.0, 0.0]]))
     circulant = np.array([[1.0, 2.0, 3.0], [3.0, 1.0, 2.0], [2.0, 3.0, 1.0]])
     assert is_normal(circulant)
+    assert is_normal(np.zeros((3, 3)))
 
 
 def test_spectral_abscissa_radius():
@@ -128,3 +133,23 @@ def test_spectral_abscissa_radius():
 def test_square_only_kernels_reject_a_non_square_matrix(fn):
     with pytest.raises(ValueError, match="square"):
         fn(np.ones((2, 3)))
+
+
+def _fails(*args, **kwargs):
+    raise np.linalg.LinAlgError("injected")
+
+
+@pytest.mark.parametrize(
+    "routine, call, shape",
+    [
+        ("svd", svd_triplet, "a 3x2 matrix"),
+        ("svd", lambda m: sigma_min(np.stack([m, m])), "a stack of 3x2 matrices"),
+        ("eigvals", lambda m: eigenvalues(m[:2]), "an order-2 matrix"),
+    ],
+)
+def test_lapack_failures_raise_decomposition_errors(monkeypatch, routine, call, shape):
+    monkeypatch.setattr(np.linalg, routine, _fails)
+    m = as_complex_matrix(random_complex(rng(3), 3, 2))
+    with pytest.raises(DecompositionError, match=shape) as info:
+        call(m)
+    assert isinstance(info.value.__cause__, np.linalg.LinAlgError)

@@ -292,6 +292,17 @@ def test_check_start_names_the_start_and_the_rule(kind, z, rule):
         objective_value_grad(_stable(kind), z)
 
 
+def test_check_start_rejects_a_start_that_rounds_onto_the_boundary():
+    # |z| = 1 + 2**-52 is feasible, but its working parameter log(|z| - 1)
+    # maps back to a point on the unit circle
+    kind, z = PencilKind.KREISS_DISCRETE, 0.7378616051399289 + 0.674952036562842j
+    assert abs(z) > 1.0
+    assert abs(localopt._unpack(kind, localopt._pack(kind, z))) <= 1.0
+    with pytest.raises(InfeasibleStart) as info:
+        check_start(kind, z)
+    assert str(info.value) == f"start {z} is infeasible (rounds onto the boundary)"
+
+
 def test_every_accepted_start_is_evaluated():
     # starts at the edge of the feasible region: where check_start accepts
     # one, the descent's first point, the start rounded into its working

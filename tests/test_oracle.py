@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+import globcert.oracle as oracle
 from conftest import assert_close, rng, stable_continuous
 from globcert import linalg
+from globcert.linalg import DecompositionError
 from globcert.localopt import Objective
 from globcert.oracle import GridSpec, grid_min
 from globcert.pencils import PencilKind
@@ -142,3 +144,23 @@ def test_psa_grid_estimate_stacks_stay_within_the_chunk_budget(monkeypatch):
     stacked = [shape for shape in shapes if len(shape) == 3]
     assert sum(shape[0] for shape in stacked) == 200 * 200 + 41 * 41
     assert max(16 * np.prod(shape) for shape in stacked) <= linalg.CHUNK_BYTES
+
+
+def test_grid_polish_drops_only_the_solvers_dropped_errors(monkeypatch):
+    obj = Objective(PencilKind.KREISS_CONTINUOUS, stable_continuous(rng(5), 3))
+    spec = GridSpec((1e-3, 4.0, -4.0, 4.0), 60, 60)
+    unpolished = grid_min(obj, GridSpec(spec.bounds, 60, 60, polish=False))
+
+    def fails(error):
+        def minimize(obj, z0):
+            raise error("injected")
+
+        return minimize
+
+    # a failed SVD drops the start, and the grid value stands
+    monkeypatch.setattr(oracle, "minimize", fails(DecompositionError))
+    assert grid_min(obj, spec) == unpolished
+    # any other error is a defect in the optimizer and propagates
+    monkeypatch.setattr(oracle, "minimize", fails(TypeError))
+    with pytest.raises(TypeError, match="injected"):
+        grid_min(obj, spec)

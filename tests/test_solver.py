@@ -572,3 +572,49 @@ def test_random_instances_match_oracle_spot():
     bound = norm2(a) / max(1e-3, 1.0 - res.gamma_final) * 1.2
     _, v = grid_min(obj, GridSpec((1e-3, bound, -bound, bound), 220, 220))
     assert_close(res.quantity, 1.0 / v, rel=1e-8)
+
+
+def test_solve_whose_every_start_fails_its_svd_raises(monkeypatch):
+    def fails(*args, **kwargs):
+        raise np.linalg.LinAlgError("injected")
+
+    monkeypatch.setattr(np.linalg, "svd", fails)
+    a = np.array([[-0.5, 5.0], [0.0, -0.5]])
+    with pytest.raises(RuntimeError, match="no starting point produced a feasible local minimum"):
+        kreiss_continuous(a, [1 + 1j, 2 + 1j])
+
+
+def test_start_that_rounds_onto_the_boundary_is_rejected_before_any_descent(monkeypatch):
+    # |z| = 1 + 2**-52, but log(|z| - 1) maps back to a radius of 1
+    z = 0.7378616051399289 + 0.674952036562842j
+
+    def no_descent(obj, z0):
+        raise AssertionError("a descent ran")
+
+    monkeypatch.setattr(solver, "descend", no_descent)
+    message = f"start {z} is infeasible (rounds onto the boundary)"
+    with pytest.raises(InfeasibleStart, match=re.escape(message)):
+        kreiss_discrete(np.array([[0.5, 1.0], [0.0, 0.5]]), [2.0, z])
+
+
+def test_trace_is_a_packed_sequence_of_records():
+    res = kreiss_continuous(np.array([[-0.5, 5.0], [0.0, -0.5]]), [1 + 1j])
+    trace = res.trace
+    records = list(trace)
+    assert len(trace) == len(records) == sum(res.certificate_samples) > 2
+    assert all(type(r) is solver.TraceRecord for r in records)
+    assert [trace[i] for i in range(len(trace))] == records
+    assert trace[-1] == records[-1] and trace[1:3] == tuple(records[1:3])
+    with pytest.raises(IndexError):
+        trace[len(trace)]
+    # equal to any sequence of the same records, hashed as their tuple
+    assert trace == tuple(records) and tuple(records) == trace and trace == records
+    assert hash(trace) == hash(tuple(records))
+    assert trace != () and trace != records[:-1] and trace != records[::-1]
+    assert (trace == "probe") is False
+    assert solver.Trace() == () and solver.Trace() == solver.Trace()
+    # a second solve gives an equal trace; the results compare and hash equal
+    again = kreiss_continuous(np.array([[-0.5, 5.0], [0.0, -0.5]]), [1 + 1j])
+    again = dataclasses.replace(again, wall_time_s=res.wall_time_s)
+    assert again.trace == trace and again == res and hash(again) == hash(res)
+    assert not hasattr(trace, "append") and not hasattr(trace, "__dict__")
