@@ -212,11 +212,10 @@ def _unit_roots(c: np.ndarray, tiny: float) -> list[float]:
     twice-oversampled value grid (obtained by the real-FFT DCT-I) and each
     bracket is resolved by bisection plus Newton polish.  Grid minima of |p|
     that dip to the rounding floor are kept as tangential-root candidates.
+    Both callers pass a series whose largest coefficient exceeds ``tiny``.
     """
     c = _trim_coeffs(c, tiny)
     cmax = np.max(np.abs(c))
-    if cmax == 0.0:
-        return [-1.0, 1.0]  # identically zero: report the endpoints
     c = _trim_coeffs(c, 1e-15 * cmax)
     n = len(c) - 1
     if n == 0 or (n == 1 and c[1] == 0.0):

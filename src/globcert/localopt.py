@@ -59,7 +59,14 @@ from typing import Optional
 
 import numpy as np
 
-from .linalg import as_complex_matrix, norm2, sigma_min, stack_length, svd_triplet
+from .linalg import (
+    DecompositionError,
+    as_complex_matrix,
+    norm2,
+    sigma_min,
+    stack_length,
+    svd_triplet,
+)
 from .pencils import PencilKind
 
 __all__ = [
@@ -271,6 +278,12 @@ def _working_grad(kind: PencilKind, p: np.ndarray, native_grad: np.ndarray) -> n
     if kind in (PencilKind.KREISS_CONTINUOUS, PencilKind.KREISS_DISCRETE):
         return np.array([native_grad[0] * math.exp(p[0]), native_grad[1]])
     return native_grad.copy()
+
+
+# What drops one descent from a race or a polish: a start off the feasible
+# region, an iterate that leaves it, or an SVD that fails.  Any other error
+# is a defect and propagates.
+DROPPED_ERRORS = (InfeasibleStart, InfeasiblePoint, DecompositionError)
 
 
 def descend(obj: Objective, z0: complex):

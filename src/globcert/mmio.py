@@ -19,15 +19,15 @@ class MatrixMarketError(ValueError):
     """Malformed Matrix Market content; message carries the line number."""
 
 
-def _tokens(path):
-    with open(path, "r", encoding="ascii") as fh:
-        lines = fh.readlines()
-    return lines
-
-
 def read_matrix(path) -> np.ndarray:
     """Parse a Matrix Market file into a dense complex matrix."""
-    lines = _tokens(path)
+    # the format is ASCII; a byte above 0x7f reads as a lone surrogate, so
+    # that the error below can name its line
+    with open(path, encoding="ascii", errors="surrogateescape") as fh:
+        lines = fh.readlines()
+    for lineno, ln in enumerate(lines, start=1):
+        if not ln.isascii():
+            raise MatrixMarketError(f"{path}: line {lineno}: non-ASCII byte")
     if not lines:
         raise MatrixMarketError(f"{path}: line 1: empty file")
     head = lines[0].strip().split()

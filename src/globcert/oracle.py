@@ -20,8 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DecompositionError
-from .localopt import InfeasiblePoint, InfeasibleStart, Objective, minimize, objective_values
+from .localopt import DROPPED_ERRORS, Objective, minimize, objective_values
 
 __all__ = ["GridSpec", "grid_min"]
 
@@ -82,7 +81,7 @@ def grid_min(obj: Objective, spec: GridSpec) -> tuple[complex, float]:
         # defect and propagates
         try:
             res = minimize(obj, z0)
-        except (InfeasibleStart, InfeasiblePoint, DecompositionError):
+        except DROPPED_ERRORS:
             continue
         if res.value < best_v:
             best_v, best_z = res.value, res.z

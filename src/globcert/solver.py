@@ -57,6 +57,7 @@ import itertools
 import operator
 import time
 from array import array
+from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
@@ -72,21 +73,13 @@ from .certificates import (
 )
 from .chebinterp import BudgetExceeded, approximate
 from .linalg import (
-    DecompositionError,
     as_complex_matrix,
     eigenvalues,
     is_normal,
     norm2,
     spectral_radius,
 )
-from .localopt import (
-    InfeasiblePoint,
-    InfeasibleStart,
-    LocalMin,
-    Objective,
-    check_start,
-    descend,
-)
+from .localopt import DROPPED_ERRORS, LocalMin, Objective, check_start, descend
 from .pencils import NearSingularSecondMember, PencilKind, pencil_constants
 
 if TYPE_CHECKING:
@@ -271,8 +264,6 @@ class _Driver:
 
     def __init__(self, kind: PencilKind, a, b, starts, cfg: SolverConfig, domain):
         self.kind = kind
-        self.a = a
-        self.b = b
         self.cfg = cfg
         self.domain = domain
         self.obj = Objective(kind, a, b)
@@ -281,9 +272,8 @@ class _Driver:
         self.zstar: complex = complex(np.nan, np.nan)
         self.restarts: list[RestartRecord] = []
         self.trace = Trace()
-        self.samples_per_round: list[int] = []
         self.round = 0
-        self.status = SolveStatus.CONVERGED
+        self.status: Optional[SolveStatus] = None  # set by run()
         self.pool: Optional["ThreadPoolExecutor"] = None  # while run() runs with workers > 1
 
     # -- optimization ------------------------------------------------------
@@ -303,7 +293,7 @@ class _Driver:
             # fails, is dropped; any other error is a defect and propagates
             try:
                 return (yield from descend(obj, z0))
-            except (InfeasibleStart, InfeasiblePoint, DecompositionError):
+            except DROPPED_ERRORS:
                 return None
 
         def step(i):
@@ -345,11 +335,10 @@ class _Driver:
 
     # -- certificate rounds ------------------------------------------------
 
-    def _certificate_round(self) -> str:
-        """One full certificate round; returns 'restart', 'converged' or 'uncertified'."""
+    def _certificate_round(self) -> Optional[SolveStatus]:
+        """One full certificate round: the status that ends the solve, or None to restart."""
         gamma_round = self.gamma
-        cache: dict[float, float] = {}
-        self.samples_per_round.append(0)
+        a, b = self.obj.a, self.obj.b
 
         for _attempt in range(6):
             gamma_cert = gamma_round * (1.0 - GAMMA_GUARD)
@@ -363,13 +352,14 @@ class _Driver:
                 # meaningful discrimination is possible anyway.
                 if abs(gamma_cert - 1.0) <= 1e-6:
                     gamma_cert = 1.0 - 1e-6
+            cache: dict[float, float] = {}
 
             def batch_eval(thetas, stage="probe") -> list[float]:
                 thetas = [float(t) for t in np.atleast_1d(thetas)]
                 missing = list(dict.fromkeys(t for t in thetas if t not in cache))
 
                 def part(ts):
-                    return eval_certificates(self.kind, self.a, self.b, gamma_cert, ts, const)
+                    return eval_certificates(self.kind, a, b, gamma_cert, ts, const)
 
                 # one contiguous part per worker; eval_certificates sizes the
                 # stacks, and no value depends on where parts or stacks split
@@ -381,7 +371,6 @@ class _Driver:
                     self.trace._append(
                         self.round, gamma_cert, t, cv.value, len(cv.candidates), stage
                     )
-                self.samples_per_round[-1] += len(missing)
                 # each zero is assessed once, by the batch that first samples it
                 zeros = [cv for cv in cvs if cv.is_zero]
                 if zeros:
@@ -389,20 +378,20 @@ class _Driver:
                 return [cache[t] for t in thetas]
 
             try:
-                const = pencil_constants(self.kind, self.a, self.b, gamma_cert)
-                return self._round_body(batch_eval)
+                const = pencil_constants(self.kind, a, b, gamma_cert)
+                self._sweep(batch_eval)
+                return SolveStatus.CONVERGED
             except (NearSingularSecondMember, NearZeroPencilEigenvalue):
                 # the level is degenerate at a sampled angle: lower the level
                 # alone and sweep again; gamma keeps the best attained value
                 gamma_round *= 1.0 - 10.0 * GAMMA_GUARD
-                cache.clear()
             except _RoundEnd:
-                return "restart"
+                return None
             except BudgetExceeded:
-                return "uncertified"
-        return "uncertified"  # every level tried was degenerate
+                return SolveStatus.UNCERTIFIED
+        return SolveStatus.UNCERTIFIED  # every level tried was degenerate
 
-    def _round_body(self, batch_eval) -> str:
+    def _sweep(self, batch_eval) -> None:
         """Sweep the domain, then check the interpolant's minimizers and root midpoints."""
         lo, hi = self.domain
         interp = approximate(batch_eval, lo, hi, zero_set_only=True).interpolant
@@ -416,7 +405,6 @@ class _Driver:
             mids.append(wrap)
         if mids:
             batch_eval(np.array(mids), "root-midpoint")
-        return "converged"
 
     def _assess_zeros(self, zeros: list[CertificateValue], trigger: str) -> None:
         """Restart optimization from all accepted candidates of newly sampled zeros.
@@ -439,18 +427,17 @@ class _Driver:
     def run(self) -> "_Driver":
         # one pool serves every race round and certificate batch of the solve;
         # a one-worker solve never imports the thread pool
-        if self.cfg.workers > 1:
-            from concurrent.futures import ThreadPoolExecutor
+        if self.cfg.workers == 1:
+            self.status = self._loop()
+            return self
+        from concurrent.futures import ThreadPoolExecutor
 
-            self.pool = ThreadPoolExecutor(self.cfg.workers)
-        try:
-            return self._loop()
-        finally:
-            if self.pool is not None:
-                self.pool.shutdown()
-                self.pool = None
+        with ThreadPoolExecutor(self.cfg.workers) as self.pool:
+            self.status = self._loop()
+        self.pool = None
+        return self
 
-    def _loop(self) -> "_Driver":
+    def _loop(self) -> SolveStatus:
         if not self.starts:
             raise ValueError("at least one starting point is required")
         best = self._optimize_from(self.starts)
@@ -458,34 +445,28 @@ class _Driver:
             raise RuntimeError("no starting point produced a feasible local minimum")
         self._adopt(best)
         while True:
-            if self.kind is PencilKind.DIST_UNCONTROLLABLE and self._dtu_zero():
-                self.status = SolveStatus.CONVERGED
-                return self
+            # a dtu value at the sigma_min noise floor certifies itself: tau ~ 0
+            if self.kind is PencilKind.DIST_UNCONTROLLABLE and self.gamma <= self.obj.floor:
+                return SolveStatus.CONVERGED
             if len(self.restarts) >= self.cfg.max_restarts:
-                self.status = SolveStatus.MAX_RESTARTS
-                return self
+                return SolveStatus.MAX_RESTARTS
             self.round += 1
-            verdict = self._certificate_round()
-            if verdict == "converged":
-                self.status = SolveStatus.CONVERGED
-                return self
-            if verdict == "uncertified":
-                self.status = SolveStatus.UNCERTIFIED
-                return self
-
-    def _dtu_zero(self) -> bool:
-        # a value at the sigma_min noise floor certifies itself: tau ~ 0
-        return self.gamma <= self.obj.floor
+            status = self._certificate_round()
+            if status is not None:
+                return status
 
 
-def _finish(driver: _Driver, quantity_of, t0: float) -> SolveResult:
+def _solve(kind: PencilKind, a, b, starts, cfg: SolverConfig, domain, t0: float) -> SolveResult:
+    driver = _Driver(kind, a, b, starts, cfg, domain).run()
+    # each sample is one trace record; a round that took none counts 0
+    samples = Counter(driver.trace._round)
     return SolveResult(
-        quantity=quantity_of(driver.gamma),
+        quantity=driver.gamma if kind is PencilKind.DIST_UNCONTROLLABLE else 1.0 / driver.gamma,
         gamma_final=driver.gamma,
         minimizer=driver.zstar,
         status=driver.status,
         restarts=tuple(driver.restarts),
-        certificate_samples=tuple(driver.samples_per_round),
+        certificate_samples=tuple(samples[r] for r in range(1, driver.round + 1)),
         trace=driver.trace,
         wall_time_s=time.perf_counter() - t0,
     )
@@ -519,8 +500,7 @@ def kreiss_continuous(a, starts, cfg: SolverConfig = SolverConfig()) -> SolveRes
     if np.min(np.abs(lam)) <= 1e-12 * scale:
         raise ZeroEigenvalue("A has a numerically zero eigenvalue")
     domain = (0.0, np.pi / 2) if _is_real(a) else (-np.pi / 2, np.pi / 2)
-    driver = _Driver(PencilKind.KREISS_CONTINUOUS, a, None, starts, cfg, domain).run()
-    return _finish(driver, lambda g: 1.0 / g, t0)
+    return _solve(PencilKind.KREISS_CONTINUOUS, a, None, starts, cfg, domain, t0)
 
 
 def kreiss_discrete(a, starts, cfg: SolverConfig = SolverConfig()) -> SolveResult:
@@ -536,8 +516,7 @@ def kreiss_discrete(a, starts, cfg: SolverConfig = SolverConfig()) -> SolveResul
     if is_normal(a):
         return _trivial(SolveStatus.TRIVIAL_NORMAL, 1.0, 1.0, t0)
     domain = (0.0, np.pi) if _is_real(a) else (-np.pi, np.pi)
-    driver = _Driver(PencilKind.KREISS_DISCRETE, a, None, starts, cfg, domain).run()
-    return _finish(driver, lambda g: 1.0 / g, t0)
+    return _solve(PencilKind.KREISS_DISCRETE, a, None, starts, cfg, domain, t0)
 
 
 def dtu(a, b, starts, cfg: SolverConfig = SolverConfig()) -> SolveResult:
@@ -554,5 +533,4 @@ def dtu(a, b, starts, cfg: SolverConfig = SolverConfig()) -> SolveResult:
     starts = list(starts) + [0j]
     symmetric = (_is_real(a) and _is_real(b)) or _is_hermitian(a)
     domain = (0.0, np.pi) if symmetric else (-np.pi, np.pi)
-    driver = _Driver(PencilKind.DIST_UNCONTROLLABLE, a, b, starts, cfg, domain).run()
-    return _finish(driver, lambda g: g, t0)
+    return _solve(PencilKind.DIST_UNCONTROLLABLE, a, b, starts, cfg, domain, t0)

@@ -37,6 +37,10 @@ def test_vals2coeffs_reproduces_samples():
         assert np.max(np.abs(recon - v)) <= 1e-14 * max(1.0, np.max(np.abs(v)))
 
 
+def test_transforms_of_one_value_are_the_identity():
+    assert vals2coeffs([3.0]).tolist() == [3.0] and coeffs2vals([3.0]).tolist() == [3.0]
+
+
 def _same_bits(x, y):
     return x.shape == y.shape and np.array_equal(x.view(np.int64), y.view(np.int64))
 

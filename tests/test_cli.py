@@ -163,11 +163,12 @@ _MM_COORD = "%%MatrixMarket matrix coordinate real general\n"
         pytest.param(_MM_COORD + "2 2 1\n1 x 1.0\n", 3, "non-integer indices", id="index-value"),
         pytest.param(_MM_COORD + "2 2 1\n3 1 1.0\n", 3, "index out of range", id="index-above"),
         pytest.param(_MM_COORD + "2 2 1\n1 0 1.0\n", 3, "index out of range", id="index-below"),
+        pytest.param(_MM_ARRAY + "% café\n1 1\n2\n", 2, "non-ASCII byte", id="non-ascii"),
     ],
 )
 def test_matrix_market_errors_name_the_file_and_line(tmp_path, text, line, message):
     path = tmp_path / "m.mtx"
-    path.write_text(text)
+    path.write_text(text, encoding="utf-8")
     with pytest.raises(MatrixMarketError) as info:
         read_matrix(path)
     assert str(info.value).startswith(f"{path}: line {line}: "), str(info.value)
@@ -275,6 +276,14 @@ def test_cli_rejects_counts_below_one(tmp_path, capsys, flag, value):
     assert main(["kreiss-c", str(a_path), flag, value]) == 1
     err = capsys.readouterr().err
     assert err.startswith("usage:") and f"argument {flag}" in err
+
+
+def test_cli_rejects_a_non_integer_count(tmp_path, capsys):
+    a_path = tmp_path / "A.mtx"
+    write_matrix(a_path, np.array([[-0.5, 5.0], [0.0, -0.5]]))
+    assert main(["kreiss-c", str(a_path), "--workers", "abc"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage:") and "argument --workers: invalid integer 'abc'" in err
 
 
 def test_cli_uncertified_exits_like_max_restarts(tmp_path, monkeypatch, capsys):

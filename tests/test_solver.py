@@ -612,6 +612,9 @@ def test_trace_is_a_packed_sequence_of_records():
     assert hash(trace) == hash(tuple(records))
     assert trace != () and trace != records[:-1] and trace != records[::-1]
     assert (trace == "probe") is False
+    # a non-sequence is not compared at all
+    assert (trace == 5) is False and trace != 5
+    assert repr(trace) == f"Trace(<{len(trace)} records>)"
     assert solver.Trace() == () and solver.Trace() == solver.Trace()
     # a second solve gives an equal trace; the results compare and hash equal
     again = kreiss_continuous(np.array([[-0.5, 5.0], [0.0, -0.5]]), [1 + 1j])
