@@ -72,13 +72,6 @@ def _count(text: str) -> int:
     return value
 
 
-def _default_workers() -> int:
-    # one worker per CPU that this process may run on
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def _add_common(p: argparse.ArgumentParser):
     p.add_argument("matrix", help="Matrix Market file for A")
     p.add_argument(
@@ -91,7 +84,7 @@ def _add_common(p: argparse.ArgumentParser):
     )
     p.add_argument("--json", dest="json_path", metavar="PATH", help="write result JSON")
     p.add_argument("--trace", dest="trace_path", metavar="PATH", help="write certificate trace CSV")
-    p.add_argument("--workers", type=_count, default=None, help="concurrent certificate evaluations")
+    p.add_argument("--workers", type=_count, default=1, help="concurrent certificate evaluations")
     p.add_argument("--max-restarts", type=_count, default=50, help="restart budget")
 
 
@@ -144,10 +137,7 @@ def parse_args(argv) -> argparse.Namespace:
         except InfeasibleStart as exc:  # "start <z> is infeasible (<rule broken>)"
             print(f"globcert {ns.command}: error: --{exc}", file=sys.stderr)
             raise SystemExit(1) from None
-    ns.config = SolverConfig(
-        max_restarts=ns.max_restarts,
-        workers=ns.workers if ns.workers is not None else _default_workers(),
-    )
+    ns.config = SolverConfig(max_restarts=ns.max_restarts, workers=ns.workers)
     return ns
 
 

@@ -18,7 +18,6 @@ __all__ = [
     "SingularTriplet",
     "as_complex_matrix",
     "eigenvalues",
-    "is_normal",
     "norm2",
     "sigma_min",
     "spectral_abscissa",
@@ -116,18 +115,6 @@ def eigenvalues(m) -> np.ndarray:
             f"QR eigenvalue iteration did not converge within the LAPACK budget "
             f"for an order-{m.shape[0]} matrix"
         ) from exc
-
-
-def is_normal(m, tol: float = 1e-12) -> bool:
-    """True iff ``||m m* - m* m|| <= tol * ||m||^2`` in the spectral norm."""
-    m = as_complex_matrix(m)
-    if m.shape[0] != m.shape[1]:
-        raise ValueError(f"is_normal requires a square matrix, got {m.shape}")
-    comm = m @ m.conj().T - m.conj().T @ m
-    scale = norm2(m) ** 2
-    if scale == 0.0:
-        return True
-    return norm2(comm) <= tol * scale
 
 
 def spectral_abscissa(m) -> float:

@@ -25,7 +25,10 @@ certificate dips between samples the interpolant may dip below 0; the
 minimizer and midpoint checks evaluate the true certificate there.
 
 The estimate gamma changes only when a descent attains a lower value
-(``_adopt``), so it is always the objective at the reported minimizer.  A certificate level
+(``_adopt``), so it is always the objective at the reported minimizer.  A
+Kreiss solve starts from gamma = 1, the objective's limit at infinity, with
+no minimizer: its answer is never below 1, and a round that completes at
+gamma = 1 reports K = 1 with minimizer None.  A certificate level
 where the pencil family degenerates at a sampled angle (a singular second
 member, or an eigenvalue at the radius floor) has one remedy: the round
 lowers its level by ``10 * GAMMA_GUARD`` relative and sweeps again, leaving
@@ -42,9 +45,11 @@ Otherwise every descent runs to its end and the lowest value wins.  The
 descents do not interact, so the winner does not depend on the worker count,
 and a race without a floor hit returns what the sequential runs would.
 
-Fast paths: normal stable matrices have transient bound exactly 1 (the
-infimum is approached only as r grows without bound, so the loop could not
-terminate on it), and unstable matrices have an infinite bound.  Past the
+Fast paths: unstable matrices have an infinite bound, and dissipative
+(continuous, ω(A) = λ_max((A + Aᴴ)/2) ≤ 0) or contractive (discrete,
+‖A‖₂ ≤ 1) matrices have transient bound exactly 1, approached only at
+infinity.  Each test carries the tolerance of its family's instability test,
+so every stable normal matrix (ω = α, ‖A‖₂ = ρ) takes the fast path.  Past the
 fast paths, every start is checked with ``localopt.check_start``, the
 package's one feasibility rule, and an infeasible start raises
 ``InfeasibleStart`` naming it before any descent runs.  So the solve raises
@@ -75,7 +80,6 @@ from .chebinterp import BudgetExceeded, approximate
 from .linalg import (
     as_complex_matrix,
     eigenvalues,
-    is_normal,
     norm2,
     spectral_radius,
 )
@@ -117,7 +121,7 @@ class SolveStatus(Enum):
     CONVERGED = "Converged"
     MAX_RESTARTS = "MaxRestarts"
     UNCERTIFIED = "Uncertified"  # a round ran out of interpolation budget or of levels
-    TRIVIAL_NORMAL = "TrivialNormal"
+    TRIVIAL_NORMAL = "TrivialNormal"  # K = 1: A dissipative (kc) or contractive (kd)
     UNSTABLE_INFINITE = "UnstableInfinite"
 
 
@@ -249,13 +253,12 @@ class _RoundEnd(Exception):
 _TRIGGERS = {"probe": "Probe", "final-min": "FinalMinCheck", "root-midpoint": "RootMidpointCheck"}
 
 
-def _is_real(m: np.ndarray) -> bool:
-    scale = max(norm2(m), np.finfo(float).tiny)
+def _is_real(m: np.ndarray, scale: float) -> bool:
+    """True iff the imaginary parts are rounding noise next to ``scale = ‖m‖₂``."""
     return float(np.max(np.abs(m.imag))) <= 1e-14 * scale
 
 
-def _is_hermitian(m: np.ndarray) -> bool:
-    scale = max(norm2(m), np.finfo(float).tiny)
+def _is_hermitian(m: np.ndarray, scale: float) -> bool:
     return norm2(m - m.conj().T) <= 1e-14 * scale
 
 
@@ -268,8 +271,10 @@ class _Driver:
         self.domain = domain
         self.obj = Objective(kind, a, b)
         self.starts = [check_start(kind, z) for z in starts]
-        self.gamma = np.inf
-        self.zstar: complex = complex(np.nan, np.nan)
+        # a Kreiss objective tends to 1 at infinity, so gamma starts at that
+        # limit, attained at no point; a dtu objective has no such limit
+        self.gamma = np.inf if kind is PencilKind.DIST_UNCONTROLLABLE else 1.0
+        self.zstar: Optional[complex] = None
         self.restarts: list[RestartRecord] = []
         self.trace = Trace()
         self.round = 0
@@ -347,11 +352,11 @@ class _Driver:
                 # pencil member degenerates and its inverse amplifies
                 # eigenvalue noise by 1/(1-gamma): reduced pencils at level
                 # 1-d have norm ~1/d, drowning the certificate in rounding
-                # noise as d shrinks.  Levels within 1e-6 of 1 correspond to
-                # transient bounds within 1e-6 of the floor K = 1, where no
-                # meaningful discrimination is possible anyway.
-                if abs(gamma_cert - 1.0) <= 1e-6:
-                    gamma_cert = 1.0 - 1e-6
+                # noise as d shrinks.  Levels within 1e-6 below 1 (a Kreiss
+                # gamma never exceeds 1) correspond to transient bounds within
+                # 1e-6 of the floor K = 1, where no meaningful discrimination
+                # is possible anyway.
+                gamma_cert = min(gamma_cert, 1.0 - 1e-6)
             cache: dict[float, float] = {}
 
             def batch_eval(thetas, stage="probe") -> list[float]:
@@ -486,8 +491,12 @@ def kreiss_continuous(a, starts, cfg: SolverConfig = SolverConfig()) -> SolveRes
     """Continuous-time transient-growth bound of ``a`` (its Kreiss constant).
 
     ``starts`` are initial points with Re z > 0 and a normal Re z · Re z; see
-    ``localopt.check_start``.  Returns quantity K with K = 1/gamma_final, or
-    the trivial statuses for normal/unstable inputs.
+    ``localopt.check_start``.  Returns quantity K with K = 1/gamma_final,
+    never below 1.  Spectral abscissa α > 1e-12·‖A‖₂ gives
+    ``UnstableInfinite``.  Numerical abscissa ω = λ_max((A + Aᴴ)/2) ≤
+    1e-12·‖A‖₂ gives ``TrivialNormal`` with K = 1: then σ_min(zI − A) ≥
+    Re z, and every stable normal A qualifies, since ω = α for it.  A K = 1
+    approached only at infinity reports no minimizer.
     """
     t0 = time.perf_counter()
     a = as_complex_matrix(a)
@@ -495,11 +504,11 @@ def kreiss_continuous(a, starts, cfg: SolverConfig = SolverConfig()) -> SolveRes
     lam = eigenvalues(a)
     if float(np.max(lam.real)) > 1e-12 * scale:
         return _trivial(SolveStatus.UNSTABLE_INFINITE, np.inf, 0.0, t0)
-    if is_normal(a):
+    if np.linalg.eigvalsh(0.5 * (a + a.conj().T))[-1] <= 1e-12 * scale:
         return _trivial(SolveStatus.TRIVIAL_NORMAL, 1.0, 1.0, t0)
     if np.min(np.abs(lam)) <= 1e-12 * scale:
         raise ZeroEigenvalue("A has a numerically zero eigenvalue")
-    domain = (0.0, np.pi / 2) if _is_real(a) else (-np.pi / 2, np.pi / 2)
+    domain = (0.0, np.pi / 2) if _is_real(a, scale) else (-np.pi / 2, np.pi / 2)
     return _solve(PencilKind.KREISS_CONTINUOUS, a, None, starts, cfg, domain, t0)
 
 
@@ -507,15 +516,19 @@ def kreiss_discrete(a, starts, cfg: SolverConfig = SolverConfig()) -> SolveResul
     """Discrete-time transient-growth bound of ``a``.
 
     ``starts`` must satisfy |z| > 1 (``localopt.check_start``); optimization
-    runs in polar coordinates.
+    runs in polar coordinates.  Returns quantity K = 1/gamma_final, never
+    below 1.  Spectral radius ρ > 1 + 1e-12 gives ``UnstableInfinite``;
+    ‖A‖₂ ≤ 1 + 1e-12 gives ``TrivialNormal`` with K = 1, since then
+    σ_min(zI − A) ≥ |z| − 1 (every stable normal A qualifies: ‖A‖₂ = ρ).
     """
     t0 = time.perf_counter()
     a = as_complex_matrix(a)
     if spectral_radius(a) > 1.0 + 1e-12:
         return _trivial(SolveStatus.UNSTABLE_INFINITE, np.inf, 0.0, t0)
-    if is_normal(a):
+    scale = norm2(a)
+    if scale <= 1.0 + 1e-12:
         return _trivial(SolveStatus.TRIVIAL_NORMAL, 1.0, 1.0, t0)
-    domain = (0.0, np.pi) if _is_real(a) else (-np.pi, np.pi)
+    domain = (0.0, np.pi) if _is_real(a, scale) else (-np.pi, np.pi)
     return _solve(PencilKind.KREISS_DISCRETE, a, None, starts, cfg, domain, t0)
 
 
@@ -531,6 +544,7 @@ def dtu(a, b, starts, cfg: SolverConfig = SolverConfig()) -> SolveResult:
     a = as_complex_matrix(a)
     b = as_complex_matrix(b)
     starts = list(starts) + [0j]
-    symmetric = (_is_real(a) and _is_real(b)) or _is_hermitian(a)
+    scale = norm2(a)
+    symmetric = (_is_real(a, scale) and _is_real(b, norm2(b))) or _is_hermitian(a, scale)
     domain = (0.0, np.pi) if symmetric else (-np.pi, np.pi)
     return _solve(PencilKind.DIST_UNCONTROLLABLE, a, b, starts, cfg, domain, t0)

@@ -91,15 +91,17 @@ def test_cli_has_no_shift_center(tmp_path, capsys):
 
 
 def test_default_workers_follow_the_affinity_mask(tmp_path, monkeypatch):
-    # a process restricted to one CPU of two gets one worker, not two
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    # one worker by default, whatever CPUs the process may run on: threads
+    # of stacked eigensolves run no faster than one
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
     m = tmp_path / "A.mtx"
     write_matrix(m, np.eye(2))
-    assert parse_args(["kreiss-c", str(m)]).config.workers == 1
-    # where the platform has no affinity mask, the CPU count
+    for cpus in ({0}, {0, 1}, {0, 1, 2, 3}):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus, raising=False)
+        assert parse_args(["kreiss-c", str(m)]).config.workers == 1
     monkeypatch.delattr(os, "sched_getaffinity")
-    assert parse_args(["kreiss-c", str(m)]).config.workers == 2
+    assert parse_args(["kreiss-c", str(m)]).config.workers == 1
+    assert parse_args(["kreiss-c", str(m), "--workers", "3"]).config.workers == 3
 
 
 def test_matrix_market_array_column_major(tmp_path):

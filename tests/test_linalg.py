@@ -1,4 +1,4 @@
-"""Kernel contracts: SVD triplets, eigenvalues, condition numbers, normality."""
+"""Kernel contracts: SVD triplets, eigenvalues, condition numbers."""
 
 import numpy as np
 import pytest
@@ -8,7 +8,6 @@ from globcert.linalg import (
     DecompositionError,
     as_complex_matrix,
     eigenvalues,
-    is_normal,
     norm2,
     sigma_min,
     spectral_abscissa,
@@ -109,15 +108,6 @@ def test_cond2_block_matrix_law():
     assert_close(cond2(e), 1.5, rel=1e-12)
 
 
-def test_is_normal():
-    h = np.array([[2.0, 1 + 1j], [1 - 1j, 3.0]])
-    assert is_normal(h)
-    assert not is_normal(np.array([[0.0, 1.0], [0.0, 0.0]]))
-    circulant = np.array([[1.0, 2.0, 3.0], [3.0, 1.0, 2.0], [2.0, 3.0, 1.0]])
-    assert is_normal(circulant)
-    assert is_normal(np.zeros((3, 3)))
-
-
 def test_spectral_abscissa_radius():
     assert_close(spectral_abscissa(np.diag([-1.0, -2.0])), -1.0)
     assert_close(spectral_radius(np.diag([-1.0, -2.0])), 2.0)
@@ -129,7 +119,7 @@ def test_spectral_abscissa_radius():
     assert spectral_radius(z) == 0.0
 
 
-@pytest.mark.parametrize("fn", [eigenvalues, is_normal])
+@pytest.mark.parametrize("fn", [eigenvalues])
 def test_square_only_kernels_reject_a_non_square_matrix(fn):
     with pytest.raises(ValueError, match="square"):
         fn(np.ones((2, 3)))

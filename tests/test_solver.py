@@ -46,6 +46,76 @@ def test_normal_fast_paths():
     assert res.quantity == 1.0
 
 
+def _k_equals_one(family, gen, n):
+    """A seeded order-n matrix whose Kreiss constant is exactly 1, with its solver."""
+    if family == "dissipative":
+        a = random_complex(gen, n)
+        omega = np.linalg.eigvalsh(0.5 * (a + a.conj().T))[-1]
+        return kreiss_continuous, a - (omega + gen.uniform(0.01, 1.0)) * np.eye(n)
+    if family == "imaginary-axis":  # normal, every eigenvalue on the boundary
+        q = np.linalg.qr(random_complex(gen, n))[0]
+        lam = 1j * gen.uniform(0.5, 5.0, n) * gen.choice([-1.0, 1.0], n)
+        return kreiss_continuous, q @ np.diag(lam) @ q.conj().T
+    if family == "contractive":
+        a = random_complex(gen, n)
+        return kreiss_discrete, a * (gen.uniform(0.3, 1.0) / norm2(a))
+    m = random_complex(gen, n) if family == "unitary" else gen.standard_normal((n, n))
+    return kreiss_discrete, np.linalg.qr(m)[0]
+
+
+@pytest.mark.parametrize(
+    "family", ["dissipative", "imaginary-axis", "contractive", "unitary", "orthogonal"]
+)
+def test_kreiss_constant_one_takes_the_fast_path(family):
+    # omega(A) <= 0 (kc) or ||A||_2 <= 1 (kd) gives K = 1 exactly.  The
+    # non-normal inputs descended toward infinity and returned Converged with
+    # K = 0.99999999999...; the normal ones on the boundary need the tests'
+    # tolerance, since their computed omega or ||A||_2 is off by rounding
+    for n in range(2, 9):
+        solve, a = _k_equals_one(family, rng(4100 + n), n)
+        res = solve(a, [1 + 1j if solve is kreiss_continuous else 2.0])
+        assert res.status is SolveStatus.TRIVIAL_NORMAL, n
+        assert res.quantity == 1.0 and res.minimizer is None, n
+        assert res.certificate_samples == () and res.trace == (), n
+
+
+@pytest.mark.parametrize("start", [1e-153, 1e-150])
+def test_continuous_start_whose_descent_cannot_move_converges(start):
+    # on 1e6 * A the descent's first gradient overflows and it ends at its
+    # start, where K = 2.3e-159 (1e-153) or 2.3e-156 (1e-150); the solve
+    # returned Uncertified with that K after 0 samples, since every
+    # certificate level at its gamma degenerated.  From gamma = 1 the
+    # certificate round finds the peak
+    a = 1e6 * np.array([[-1.0, 4.0], [0.0, -2.0]])
+    res = kreiss_continuous(a, [start])
+    assert res.status is SolveStatus.CONVERGED
+    assert abs(res.quantity - 1.0556083778682213) <= 1e-12
+
+
+def _two_block_discrete_3037():
+    # a Jordan block at 0.5 beside a weakly coupled one near the unit circle
+    gen = np.random.default_rng(3037)
+    phi, rho = gen.uniform(0.5, 3), gen.uniform(0.95, 0.995)
+    c, k = gen.uniform(0.02, 0.1), gen.uniform(0.5, 3)
+    a = np.zeros((4, 4), dtype=complex)
+    a[:2, :2] = [[0.5, k], [0.0, 0.5]]
+    a[2:, 2:] = rho * np.exp(1j * phi) * np.eye(2) + [[0.0, c], [0.0, 0.0]]
+    return a
+
+
+@pytest.mark.parametrize(
+    "a, start",
+    [(np.array([[-1.0, -1.0], [0.0, -1.0]]), 2.0), (_two_block_discrete_3037(), 1.5)],
+    ids=["defective-on-the-circle", "two-block-3037"],
+)
+def test_kreiss_discrete_never_reports_below_one(a, start):
+    # each descent ran off toward infinity and stopped where the objective
+    # read 1 + 5e-13 to 1 + 7e-13, so K was reported as 0.99999999999928
+    # and 0.99999999999949
+    res = kreiss_discrete(a, [start])
+    assert res.quantity >= 1.0
+
+
 def test_unstable_infinite():
     res = kreiss_continuous(np.array([[0.5, 1.0], [0.0, 0.2]]), [1 + 1j])
     assert res.status is SolveStatus.UNSTABLE_INFINITE
@@ -490,7 +560,9 @@ def test_zero_without_gain_does_not_end_the_sweep():
 
 def test_one_start_finds_the_far_block():
     # seeded slice of the two-block family: one start must give what a
-    # second start beside the far block's eigenvalue gives
+    # second start beside the far block's eigenvalue gives.  Seeds 2034 and
+    # 2035 draw dissipative matrices (omega(A) = -0.0296 and -0.0214), whose
+    # K is exactly 1
     for seed in range(2000, 2040):
         gen = np.random.default_rng(seed)
         k, omega = gen.uniform(1, 6), gen.uniform(5, 60)
@@ -498,7 +570,10 @@ def test_one_start_finds_the_far_block():
         a = _two_block_continuous(k, omega, d, c)
         one = kreiss_continuous(a, [1 + 0j])
         two = kreiss_continuous(a, [1 + 0j, d + 1j * omega])
-        assert one.status is SolveStatus.CONVERGED, seed
+        if seed in (2034, 2035):
+            assert one.status is SolveStatus.TRIVIAL_NORMAL and one.quantity == 1.0, seed
+        else:
+            assert one.status is SolveStatus.CONVERGED, seed
         assert_close(one.quantity, two.quantity, rel=1e-8, label=f"seed {seed}")
 
 
@@ -548,18 +623,21 @@ def test_dtu_hermitian_symmetry_reduction():
 def test_shift_center_invariance():
     # a shift along the imaginary axis maps the right half-plane onto
     # itself: K(A - iyI), solved from the start shifted by -iy, is K(A).
-    # The random instance has K = 1 (approached as |z| grows); the 2x2 one
-    # has K = 2.6 at z = 13/24, which the shift moves to 13/24 - iy
+    # The random instance is dissipative (omega(A) = -0.0059), and so is its
+    # shift, so K = 1 exactly; the 2x2 one has K = 2.6 at z = 13/24, which
+    # the shift moves to 13/24 - iy
     gen = rng(62)
     a = stable_continuous(gen, 4)
-    cases = [(a, float(np.mean(np.linalg.eigvals(a).imag))),
-             (np.array([[-0.5, 5.0], [0.0, -0.5]]), 0.7)]
-    for m, y in cases:
+    cases = [(a, float(np.mean(np.linalg.eigvals(a).imag)), SolveStatus.TRIVIAL_NORMAL),
+             (np.array([[-0.5, 5.0], [0.0, -0.5]]), 0.7, SolveStatus.CONVERGED)]
+    for m, y, status in cases:
         assert abs(y) > 0.1
         res0 = kreiss_continuous(m, [1 + 1j])
         res1 = kreiss_continuous(m - 1j * y * np.eye(len(m)), [1 + 1j - 1j * y])
-        assert res0.status is res1.status is SolveStatus.CONVERGED
+        assert res0.status is res1.status is status
         assert_close(res1.quantity, res0.quantity, rel=1e-9)
+        if status is SolveStatus.TRIVIAL_NORMAL:
+            assert res0.quantity == res1.quantity == 1.0
     assert_close(res1.quantity, 2.6, rel=1e-12)
     assert abs(res1.minimizer - (13 / 24 - 0.7j)) <= 1e-8
 
