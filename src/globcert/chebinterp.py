@@ -9,10 +9,17 @@ interpolant has at most ``MAX_PIECES`` pieces; running out raises
 nonnegative function relaxes that tolerance, piece by piece, to a fraction
 of the piece's smallest sample (``approximate(..., zero_set_only=True)``).
 A ladder that stalls hands its series to ``approximate``, which alone
-decides whether the piece is kept or split.  A split locates the nonsmooth
-feature by a shrinking-window scan of fourth differences and cuts the
-interval there, recursing on both halves; features hugging a boundary yield
-geometrically graded pieces.  Sampling happens in batches:
+decides whether the piece is kept or split.  There are two stall tests.  A
+zero-set piece that samples no exact 0 stalls once its tail fell by less
+than 64 over the last two doublings, so a kink whose tail alternates
+between large and small falls splits early.  Every other piece stalls after
+two doublings in a row that each cut the tail by less than 8: in full
+accuracy, and in a zero-set piece that samples a 0, because there the
+higher rungs sample the zero set more finely, and the zeros they find
+start the descents that set the caller's answer.  A split locates the
+nonsmooth feature by a shrinking-window scan of fourth differences and cuts
+the interval there, recursing on both halves; features hugging a boundary
+yield geometrically graded pieces.  Sampling happens in batches:
 every batch may be evaluated concurrently by the caller, and a
 caller-supplied predicate can abort the whole construction as soon as any
 batch contains a triggering sample.  The construction is deterministic: it
@@ -530,13 +537,20 @@ def _run_ladder(sampler: _Sampler, a: float, b: float, zero_set_only: bool) -> n
 
     Any other exit raises ``_NeedSplit`` with the series, trimmed the same
     way, and its tail, and ``approximate`` keeps or splits the piece.  That
-    exit comes at ``MAX_DEGREE``, or earlier once the tail has stalled
-    (fallen by less than 8 per doubling) on two rungs in a row from 65
-    points on, unless the tail lies in (50, 1e3] times ``TOL * scale``:
+    exit comes at ``MAX_DEGREE``, or earlier once the tail has stalled from
+    65 points on, unless the tail lies in (50, 1e3] times ``TOL * scale``:
     above the validation contract, but close enough to finish by doubling.
+    A ``zero_set_only`` piece none of whose samples is exactly 0 has
+    stalled when its tail fell by less than 64 over the last two doublings.
+    A kink's tail falls by about 4 per doubling but may alternate between
+    falls above and below 8, and the rung-by-rung test then never sees two
+    stalls in a row.  Every other piece has stalled when its tail fell by
+    less than 8 on each of the last two doublings: a full-accuracy piece,
+    and a zero-set piece that samples a 0, whose higher rungs sample the
+    zero set more finely and so find the zeros that set the answer.
     """
     m = MIN_SAMPLES - 1
-    prev_tail = np.inf
+    tails = [np.inf, np.inf]  # the tails of the last two rungs
     stalls = 0
     coeffs = None
     while True:
@@ -552,10 +566,17 @@ def _run_ladder(sampler: _Sampler, a: float, b: float, zero_set_only: bool) -> n
             err = np.max(np.abs(sampler.eval(xs) - _clenshaw(coeffs, np.asarray(_SAMPLE_TEST_NODES))))
             if err <= max(100.0 * TOL * fscale, 10.0 * floor):
                 return _trim_coeffs(coeffs, 0.5 * target)
-        stalls = stalls + 1 if tail > 0.125 * prev_tail else 0
-        prev_tail = tail
+        stalls = stalls + 1 if tail > 0.125 * tails[-1] else 0
+        if zero_set_only and np.all(vals != 0.0):
+            stalled = tail > tails[-2] / 64.0
+        else:
+            # a piece that samples a zero keeps the rung-by-rung test: its
+            # higher rungs sample the zero set more finely, each new zero
+            # there starts descents, and those descents set the answer
+            stalled = stalls >= 2
+        tails = [tails[-1], tail]
         closing_in = 50.0 * TOL * fscale < tail <= 1e3 * TOL * fscale
-        if (stalls >= 2 and m + 1 >= 65 and not closing_in) or 2 * m + 1 > MAX_DEGREE:
+        if (stalled and m + 1 >= 65 and not closing_in) or 2 * m + 1 > MAX_DEGREE:
             raise _NeedSplit(_trim_coeffs(coeffs, 0.5 * target), tail)
         m *= 2
 

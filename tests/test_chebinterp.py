@@ -367,6 +367,46 @@ def test_stalled_ladder_keeps_doubles_or_splits(monkeypatch, s, rung, n_pieces):
         assert all(kind == "accept" for kind, _ in recorded[1:])
 
 
+# The zero-set ladder's two stall tests, on a kink at 0.123 off the grid:
+# its tail falls by about 4 per doubling, but not by at least 8 on two rungs
+# in a row before 257 points.  A piece that samples no zero stalls once the
+# tail fell by less than 64 over two doublings, at 129 points.  The twin
+# samples a zero at its left end, (x + 1) = 0 at x = -1, and keeps the
+# rung-by-rung test.  Both split once, at the kink.
+@pytest.mark.parametrize(
+    "f, rung, total",
+    [
+        (lambda x: 1e-3 + abs(x - 0.123), 129, 334),
+        (lambda x: (x + 1.0) * (1e-3 + abs(x - 0.123)), 257, 462),
+    ],
+    ids=["zero-free-two-doublings", "zero-holding-two-stalls"],
+)
+def test_zero_set_stall_test_depends_on_a_sampled_zero(monkeypatch, f, rung, total):
+    samples = []
+
+    def fn(xs):
+        samples.extend(xs)
+        return batch(f)(xs)
+
+    stalls = []
+    run_ladder = chebinterp._run_ladder
+
+    def recording_ladder(*args):
+        try:
+            return run_ladder(*args)
+        except chebinterp._NeedSplit:
+            stalls.append(len(samples))
+            raise
+
+    monkeypatch.setattr(chebinterp, "_run_ladder", recording_ladder)
+    out = approximate(fn, -1, 1, zero_set_only=True)
+    assert isinstance(out, Completed)
+    assert stalls == [rung]
+    assert out.sample_count == total
+    assert len(out.interpolant.pieces) == 2
+    assert abs(out.interpolant.pieces[0].b - 0.123) <= 1e-12
+
+
 # One case per give-up exit of the ladder, each a feature at 0.3 that no
 # piece resolves to TOL: a stalled tail within the 50 * TOL contract (square
 # root), a noise-limited plateau (cube root), a piece at the width floor

@@ -533,10 +533,28 @@ def test_zero_found_by_the_minimizer_check(workers):
     b = random_complex(gen, 4, 1)
     res = dtu(a, b, [1.0], SolverConfig(workers=workers))
     assert res.status is SolveStatus.CONVERGED
-    assert res.certificate_samples == (1639,)
+    assert res.certificate_samples == (1063,)
     assert res.restarts == ()
     assert [t.value for t in res.trace if t.stage == "final-min"] == [0.0]
     assert res.quantity == 0.1549840001320904
+
+
+def test_zero_free_ladder_stalls_over_two_doublings():
+    # the seed-0 complex Gaussian pair of order 10, drawn as perfbench's
+    # dtu-rand10 is: its piece [-pi, -1.763] samples no zero, and its tail
+    # alternates between falls of more and less than 8 per doubling, so the
+    # rung-by-rung stall test ran that ladder to 4,097 points (6,704 samples
+    # in all).  Over two doublings the tail falls by less than 64, so the
+    # piece stalls and splits early.  Kahan(10) in
+    # test_zeros_consumed_mid_sweep pins the other branch: its answer comes
+    # from high rungs of pieces that sample a zero
+    gen = np.random.default_rng(0)
+    a = gen.standard_normal((10, 10)) + 1j * gen.standard_normal((10, 10))
+    b = gen.standard_normal((10, 1)) + 1j * gen.standard_normal((10, 1))
+    res = dtu(a, b, [1.0])
+    assert res.status is SolveStatus.CONVERGED
+    assert res.certificate_samples == (1712,)
+    assert res.quantity == 0.0550827470274255
 
 
 def _two_block_continuous(k, omega, d, c):
