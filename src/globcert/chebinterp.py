@@ -19,7 +19,15 @@ higher rungs sample the zero set more finely, and the zeros they find
 start the descents that set the caller's answer.  A split locates the
 nonsmooth feature by a shrinking-window scan of fourth differences and cuts
 the interval there, recursing on both halves; features hugging a boundary
-yield geometrically graded pieces.  Sampling happens in batches:
+yield geometrically graded pieces.  There are two scans.  A zero-set piece
+that samples no exact 0 starts from its stalled rung's own samples, zooms on
+nested grids at 4 samples a halving, and stops once the window is as narrow
+as the end cell of the ``MIN_SAMPLES``-point grid: such a piece needs low
+fidelity only, so a cut that close serves.  Every other piece scans fresh
+9-point grids down to a window 16 eps wide.  A zero-set piece that samples
+a 0 keeps that precise cut for the same reason it keeps the slower stall
+test: the rungs of the pieces it leaves sample the zero set, and the zeros
+they find set the caller's answer.  Sampling happens in batches:
 every batch may be evaluated concurrently by the caller, and a
 caller-supplied predicate can abort the whole construction as soon as any
 batch contains a triggering sample.  The construction is deterministic: it
@@ -418,11 +426,16 @@ class _Abort(Exception):
 
 
 class _NeedSplit(Exception):
-    """A stalled ladder: its series, trimmed as a kept piece's, and its tail."""
+    """A stalled ladder: its series, trimmed as a kept piece's, and its tail.
 
-    def __init__(self, coeffs, plateau):
+    ``rung`` holds the stalled rung's points and values when the piece is a
+    zero-set piece that samples no exact 0, and is None otherwise.
+    """
+
+    def __init__(self, coeffs, plateau, rung=None):
         self.coeffs = coeffs
         self.plateau = plateau
+        self.rung = rung
 
 
 class _Sampler:
@@ -455,7 +468,12 @@ class _Sampler:
         return np.array([self.cache[float(x)] for x in xs])
 
 
-def _locate_edge(sampler: _Sampler, a: float, b: float) -> float:
+def _fourth_differences(v: np.ndarray) -> np.ndarray:
+    """Absolute fourth differences of consecutive values, in index order."""
+    return np.abs(v[:-4] - 4.0 * v[1:-3] + 6.0 * v[2:-2] - 4.0 * v[3:-1] + v[4:])
+
+
+def _locate_edge(sampler: _Sampler, a: float, b: float, rung=None) -> float:
     """Shrink a window onto the dominant nonsmooth feature.
 
     Tracks normalized fourth differences on successively halved 9-point
@@ -463,27 +481,53 @@ def _locate_edge(sampler: _Sampler, a: float, b: float) -> float:
     current scale and level off once it is resolved, which is where the
     split should land.  Fourth differences annihilate cubic trends, so
     smooth curvature of the function itself cannot masquerade as an edge.
+
+    Without ``rung``, the search starts from a uniform grid on the whole
+    piece, samples a fresh uniform grid on each window and zooms until the
+    window is 16 eps wide.  A zero-set piece that samples a 0 takes this
+    search: the pieces its precise cut leaves are the ones whose rungs find
+    the zeros that set the caller's answer.
+
+    With ``rung``, the points and values of the stalled rung of a zero-set
+    piece that samples no 0, the search starts from the 4 cells around the
+    rung's largest fourth difference, taken in index order since the rung
+    is uniform in arccos, so its first window costs no sample.  Each zoom
+    keeps the 5 points around the largest difference and adds the 4
+    midpoints, and the search stops once the window is as narrow as the end
+    cell of the ``MIN_SAMPLES``-point grid on the piece: a cut that close to
+    the feature leaves pieces that a low-fidelity ladder resolves.
+
+    Both searches share the growth and noise stops, cut at the middle of the
+    last window, and bisect the piece when the window held no feature.
     """
     eps = np.finfo(float).eps
-    lo, hi = a, b
-    width_floor = 16.0 * eps * max(abs(a), abs(b), 1.0)
+    if rung is None:
+        xs = np.array([a, b])
+        width_floor = 16.0 * eps * max(abs(a), abs(b), 1.0)
+    else:
+        k = int(np.argmax(_fourth_differences(rung[1]))) + 2
+        xs = rung[0][k - 2 : k + 3]
+        end_cell = chebpts(MIN_SAMPLES - 1, a, b)[:2]
+        width_floor = end_cell[1] - end_cell[0]
     prev_growth = 0.0
     zooms = 0
     located = False
     for _ in range(60):
-        if hi - lo <= width_floor:
+        if xs[-1] - xs[0] <= width_floor:
             located = True
             break
-        xs = np.linspace(lo, hi, 9)
-        v = sampler.eval(xs)
-        d4 = np.abs(v[:-4] - 4.0 * v[1:-3] + 6.0 * v[2:-2] - 4.0 * v[3:-1] + v[4:])
+        if rung is None:
+            xs = np.linspace(xs[0], xs[-1], 9)
+        else:
+            xs = np.insert(xs, np.arange(1, 5), 0.5 * (xs[:-1] + xs[1:]))
+        d4 = _fourth_differences(sampler.eval(xs))
         m4 = float(np.max(d4))
         if m4 <= 1e3 * eps * max(sampler.scale, 1e-300):
             # differences vanished into rounding noise: success if we had
             # zoomed onto a feature, otherwise the window held nothing
             located = zooms >= 3
             break
-        h = (hi - lo) / 8.0
+        h = (xs[-1] - xs[0]) / 8.0
         growth = m4 / h**4
         if prev_growth > 0.0 and growth <= 2.0 * prev_growth:
             # derivative estimates stopped growing: either the feature is now
@@ -495,8 +539,8 @@ def _locate_edge(sampler: _Sampler, a: float, b: float) -> float:
             zooms += 1
         prev_growth = growth
         k = int(np.argmax(d4)) + 2
-        lo, hi = xs[max(k - 2, 0)], xs[min(k + 2, 8)]
-    x = 0.5 * (lo + hi)
+        xs = xs[k - 2 : k + 3]
+    x = 0.5 * (xs[0] + xs[-1])
     w = b - a
     if not located or not (a + 64.0 * eps * w < x < b - 64.0 * eps * w):
         x = 0.5 * (a + b)  # no interior edge found: plain bisection
@@ -544,7 +588,8 @@ def _run_ladder(sampler: _Sampler, a: float, b: float, zero_set_only: bool) -> n
     stalled when its tail fell by less than 64 over the last two doublings.
     A kink's tail falls by about 4 per doubling but may alternate between
     falls above and below 8, and the rung-by-rung test then never sees two
-    stalls in a row.  Every other piece has stalled when its tail fell by
+    stalls in a row.  Such a piece also hands on the stalled rung's points
+    and values, where ``_locate_edge`` starts its search.  Every other piece has stalled when its tail fell by
     less than 8 on each of the last two doublings: a full-accuracy piece,
     and a zero-set piece that samples a 0, whose higher rungs sample the
     zero set more finely and so find the zeros that set the answer.
@@ -554,7 +599,8 @@ def _run_ladder(sampler: _Sampler, a: float, b: float, zero_set_only: bool) -> n
     stalls = 0
     coeffs = None
     while True:
-        vals = sampler.eval(chebpts(m, a, b))
+        pts = chebpts(m, a, b)
+        vals = sampler.eval(pts)
         prev, coeffs = coeffs, vals2coeffs(vals)
         fscale = max(sampler.scale, np.finfo(float).tiny)
         floor = _zero_set_floor(vals, prev) if zero_set_only else 0.0
@@ -567,7 +613,8 @@ def _run_ladder(sampler: _Sampler, a: float, b: float, zero_set_only: bool) -> n
             if err <= max(100.0 * TOL * fscale, 10.0 * floor):
                 return _trim_coeffs(coeffs, 0.5 * target)
         stalls = stalls + 1 if tail > 0.125 * tails[-1] else 0
-        if zero_set_only and np.all(vals != 0.0):
+        zero_free = zero_set_only and np.all(vals != 0.0)
+        if zero_free:
             stalled = tail > tails[-2] / 64.0
         else:
             # a piece that samples a zero keeps the rung-by-rung test: its
@@ -577,7 +624,8 @@ def _run_ladder(sampler: _Sampler, a: float, b: float, zero_set_only: bool) -> n
         tails = [tails[-1], tail]
         closing_in = 50.0 * TOL * fscale < tail <= 1e3 * TOL * fscale
         if (stalled and m + 1 >= 65 and not closing_in) or 2 * m + 1 > MAX_DEGREE:
-            raise _NeedSplit(_trim_coeffs(coeffs, 0.5 * target), tail)
+            rung = (pts, vals) if zero_free else None
+            raise _NeedSplit(_trim_coeffs(coeffs, 0.5 * target), tail, rung)
         m *= 2
 
 
@@ -646,7 +694,7 @@ def approximate(
                 done.append(ChebPiece(a, b, _run_ladder(sampler, a, b, zero_set_only)))
                 continue
             except _NeedSplit as ns:
-                coeffs, plateau = ns.coeffs, ns.plateau
+                coeffs, plateau, rung = ns.coeffs, ns.plateau, ns.rung
             scale = max(sampler.scale, np.finfo(float).tiny)
             if (
                 plateau <= 50.0 * TOL * scale  # within the validation contract
@@ -658,8 +706,9 @@ def approximate(
             if splits_used + 1 >= MAX_PIECES:
                 raise BudgetExceeded(f"piece budget MAX_PIECES={MAX_PIECES} exhausted")
             # reuse a feature already located in this interval by the
-            # parent; only fresh features pay for edge location
-            x = hint if hint is not None and a < hint < b else _locate_edge(sampler, a, b)
+            # parent; only fresh features pay for edge location, which
+            # starts from the stalled rung when it comes with the stall
+            x = hint if hint is not None and a < hint < b else _locate_edge(sampler, a, b, rung)
             feature = x
             # a feature hugging a boundary would otherwise shave slivers
             # off the piece; clamping the cut to the inner 80% grades the

@@ -372,16 +372,26 @@ def test_stalled_ladder_keeps_doubles_or_splits(monkeypatch, s, rung, n_pieces):
 # in a row before 257 points.  A piece that samples no zero stalls once the
 # tail fell by less than 64 over two doublings, at 129 points.  The twin
 # samples a zero at its left end, (x + 1) = 0 at x = -1, and keeps the
-# rung-by-rung test.  Both split once, at the kink.
+# rung-by-rung test.  Each splits first near the kink.  The twin's search
+# zooms to 16 eps, so its cut lands on the kink and two pieces suffice.  The
+# zero-free search stops once its window is as narrow as the end cell of
+# the 17-point grid on [-1, 1], 1 - cos(pi / 16), and cuts at the window's
+# middle; the piece right of that cut holds the kink near its left end,
+# stalls at 65 points and splits once more, graded toward the kink.
+STOP_WIDTH = 1.0 - np.cos(np.pi / 16.0)
+
+
 @pytest.mark.parametrize(
-    "f, rung, total",
+    "f, stall_counts, total, n_pieces, cut_tol",
     [
-        (lambda x: 1e-3 + abs(x - 0.123), 129, 334),
-        (lambda x: (x + 1.0) * (1e-3 + abs(x - 0.123)), 257, 462),
+        (lambda x: 1e-3 + abs(x - 0.123), [129, 222], 307, 3, STOP_WIDTH),
+        (lambda x: (x + 1.0) * (1e-3 + abs(x - 0.123)), [257], 462, 2, 1e-12),
     ],
     ids=["zero-free-two-doublings", "zero-holding-two-stalls"],
 )
-def test_zero_set_stall_test_depends_on_a_sampled_zero(monkeypatch, f, rung, total):
+def test_zero_set_stall_test_depends_on_a_sampled_zero(
+    monkeypatch, f, stall_counts, total, n_pieces, cut_tol
+):
     samples = []
 
     def fn(xs):
@@ -401,10 +411,38 @@ def test_zero_set_stall_test_depends_on_a_sampled_zero(monkeypatch, f, rung, tot
     monkeypatch.setattr(chebinterp, "_run_ladder", recording_ladder)
     out = approximate(fn, -1, 1, zero_set_only=True)
     assert isinstance(out, Completed)
-    assert stalls == [rung]
+    assert stalls == stall_counts
     assert out.sample_count == total
-    assert len(out.interpolant.pieces) == 2
-    assert abs(out.interpolant.pieces[0].b - 0.123) <= 1e-12
+    assert len(out.interpolant.pieces) == n_pieces
+    assert abs(out.interpolant.pieces[0].b - 0.123) <= cut_tol
+
+
+def test_zero_free_edge_search_starts_from_the_stalled_rung(monkeypatch):
+    # 1e-3 + the upper of a line and a sine, which cross at x = 0.0358 and
+    # 0.945; no sample on [-1, 1] is 0.  Each search's first window comes
+    # from the stalled rung at no cost, and each zoom adds only the 4
+    # midpoints of the 5 points it keeps
+    batches = []
+
+    def fn(xs):
+        batches.append(len(xs))
+        return [1e-3 + max(np.sin(3.0 * x), 0.2 * x + 0.1) for x in xs]
+
+    searches = []
+    locate_edge = chebinterp._locate_edge
+
+    def recording_edge(*args):
+        start = len(batches)
+        x = locate_edge(*args)
+        searches.append(batches[start:])
+        return x
+
+    monkeypatch.setattr(chebinterp, "_locate_edge", recording_edge)
+    out = approximate(fn, -1, 1, zero_set_only=True)
+    assert isinstance(out, Completed)
+    assert searches == [[4, 4, 4, 4], []]
+    assert out.sample_count == 262
+    assert len(out.interpolant.pieces) == 3
 
 
 # One case per give-up exit of the ladder, each a feature at 0.3 that no

@@ -527,16 +527,18 @@ def test_zeros_consumed_mid_sweep(workers):
 def test_zero_found_by_the_minimizer_check(workers):
     # the sweep completes without a zero; the certificate at the
     # interpolant's minimizer is one, whose restart gains less than
-    # RESTART_REL, so it is consumed and the round converges
-    gen = rng([4242, 4])
+    # RESTART_REL, so it is consumed and the round converges.  Whether the
+    # minimizer lands inside the tangency's zero window turns on its last
+    # digits, so a change of sample path can move it out of that window
+    gen = rng([4242, 58])
     a = random_complex(gen, 4)
     b = random_complex(gen, 4, 1)
     res = dtu(a, b, [1.0], SolverConfig(workers=workers))
     assert res.status is SolveStatus.CONVERGED
-    assert res.certificate_samples == (1063,)
+    assert res.certificate_samples == (697,)
     assert res.restarts == ()
     assert [t.value for t in res.trace if t.stage == "final-min"] == [0.0]
-    assert res.quantity == 0.1549840001320904
+    assert res.quantity == 0.48711224253338264
 
 
 def test_zero_free_ladder_stalls_over_two_doublings():
@@ -553,7 +555,7 @@ def test_zero_free_ladder_stalls_over_two_doublings():
     b = gen.standard_normal((10, 1)) + 1j * gen.standard_normal((10, 1))
     res = dtu(a, b, [1.0])
     assert res.status is SolveStatus.CONVERGED
-    assert res.certificate_samples == (1712,)
+    assert res.certificate_samples == (895,)
     assert res.quantity == 0.0550827470274255
 
 
