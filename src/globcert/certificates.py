@@ -27,7 +27,11 @@ the family's O(1) upper bound on the reduced matrix's 2-norm
 (``PencilConstants.norm_bound``), not by a per-sample SVD: the bound is exact
 for the uncontrollability family and at least the norm for the other two, so
 it can only widen the nominated set, and every nomination is still rechecked.
-A and B are validated once, where a caller enters without per-level constants.
+
+A certificate level, ``pencils.PencilConstants``, holds the family, gamma,
+the validated A and B and the bound: ``eval_certificates(level, thetas)``
+takes nothing else.  ``eval_certificate`` is the one entry point that
+validates A and B, and builds a level for its one angle.
 
 Angles are evaluated a chunk at a time (``eval_certificates``): the reduced
 matrices of a chunk are built into one stack, which takes one
@@ -43,7 +47,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -125,8 +128,8 @@ class CertificateValue:
         return self.value == 0.0 and any(c.accepted for c in self.candidates)
 
 
-def _eval_chunk(kind, a, b, gamma, thetas: list[float], const) -> list[CertificateValue]:
-    """Certificate values at ``thetas``, from one stacked eigensolve.
+def _eval_chunk(level: PencilConstants, thetas: list[float]) -> list[CertificateValue]:
+    """Certificate values on ``level`` at ``thetas``, from one stacked eigensolve.
 
     A singular second member at any angle raises ``NearSingularSecondMember``
     from the stacked build, naming the chunk's first such angle, before any
@@ -135,15 +138,15 @@ def _eval_chunk(kind, a, b, gamma, thetas: list[float], const) -> list[Certifica
     at the radius floor, are visited one by one, in angle order, so
     ``NearZeroPencilEigenvalue`` names the chunk's first such angle.
     """
-    t = np.array(thetas)
+    kind, a, b, gamma, t = level.kind, level.a, level.b, level.gamma, np.array(thetas)
     if kind is PencilKind.KREISS_CONTINUOUS:
-        stack, r_floor = reduced_kc_matrix(a, gamma, t, const), 0.0
+        stack, r_floor = reduced_kc_matrix(a, gamma, t, level), 0.0
     elif kind is PencilKind.KREISS_DISCRETE:
-        stack, r_floor = reduced_kd_matrix(a, gamma, t, const), 1.0
+        stack, r_floor = reduced_kd_matrix(a, gamma, t, level), 1.0
     else:
-        stack, r_floor = reduced_dtu_matrix(a, b, gamma, t, const), 0.0
+        stack, r_floor = reduced_dtu_matrix(a, b, gamma, t, level), 0.0
     lam = np.linalg.eigvals(stack)
-    scales = [max(const.norm_bound(th), _TINY) for th in thetas]
+    scales = [max(level.norm_bound(th), _TINY) for th in thetas]
     scale = np.array(scales)
     mu = lam / 1j  # rotate: the positive imaginary axis -> positive reals
     shifted = mu - r_floor
@@ -188,52 +191,34 @@ def chunk_length(n: int) -> int:
     return stack_length(2 * n, 2 * n)
 
 
-def eval_certificates(
-    kind: PencilKind,
-    a,
-    b,
-    gamma,
-    thetas,
-    const: Optional[PencilConstants] = None,
-) -> list[CertificateValue]:
-    """Certificate values at each angle of ``thetas``, in order.
+def eval_certificates(level: PencilConstants, thetas) -> list[CertificateValue]:
+    """Certificate values on ``level`` at each angle of ``thetas``, in order.
 
-    The angles are evaluated a chunk of ``chunk_length(n)`` at a time, each
-    chunk with one stacked eigensolve; every value and candidate is bit for
-    bit what the same angle gives alone.  ``b`` is ignored unless evaluating
-    the DTU certificate.  ``const`` holds the theta-independent parts of the
-    pencil at this kind and level, from ``pencil_constants`` on validated
-    complex A and B; a solver builds it once per certificate level and passes
-    A and B as it validated them.  Without it, A and B are validated and the
-    constants built for this one call.
+    ``level``, from ``pencil_constants``, holds the family, gamma, the
+    validated A and B and the theta-independent parts of the pencil; a
+    solver builds it once per certificate level.  The angles are evaluated a
+    chunk of ``chunk_length(n)`` at a time, each chunk with one stacked
+    eigensolve; every value and candidate is bit for bit what the same angle
+    gives alone.
     """
-    if const is None:
-        a = as_complex_matrix(a)
-        b = as_complex_matrix(b) if kind is PencilKind.DIST_UNCONTROLLABLE else None
-        const = pencil_constants(kind, a, b, gamma)
-    elif const.kind is not kind or const.gamma != gamma:
-        raise ValueError(
-            f"constants for {const.kind.value} at gamma={const.gamma!r} "
-            f"cannot evaluate {kind.value} at gamma={gamma!r}"
-        )
     thetas = np.asarray(thetas, dtype=float).reshape(-1).tolist()
-    step = chunk_length(a.shape[0])
+    step = chunk_length(level.a.shape[0])
     out: list[CertificateValue] = []
     for i in range(0, len(thetas), step):
-        out += _eval_chunk(kind, a, b, gamma, thetas[i : i + step], const)
+        out += _eval_chunk(level, thetas[i : i + step])
     return out
 
 
-def eval_certificate(
-    kind: PencilKind,
-    a,
-    b,
-    gamma,
-    theta,
-    const: Optional[PencilConstants] = None,
-) -> CertificateValue:
-    """The certificate at one angle: ``eval_certificates`` on a batch of one."""
-    return eval_certificates(kind, a, b, gamma, [theta], const)[0]
+def eval_certificate(kind: PencilKind, a, b, gamma, theta) -> CertificateValue:
+    """The certificate at one angle, on A and B as given.
+
+    A (and B, for the uncontrollability family; it is ignored otherwise)
+    are validated and the level built for this one call, which is then
+    ``eval_certificates`` on a batch of one.
+    """
+    a = as_complex_matrix(a)
+    b = as_complex_matrix(b) if kind is PencilKind.DIST_UNCONTROLLABLE else None
+    return eval_certificates(pencil_constants(kind, a, b, gamma), [theta])[0]
 
 
 def extract_restart_points(cv: CertificateValue) -> list[tuple[complex, float]]:

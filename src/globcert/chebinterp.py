@@ -9,29 +9,32 @@ interpolant has at most ``MAX_PIECES`` pieces; running out raises
 nonnegative function relaxes that tolerance, piece by piece, to a fraction
 of the piece's smallest sample (``approximate(..., zero_set_only=True)``).
 A ladder that stalls hands its series to ``approximate``, which alone
-decides whether the piece is kept or split.  There are two stall tests.  A
-zero-set piece that samples no exact 0 stalls once its tail fell by less
-than 64 over the last two doublings, so a kink whose tail alternates
-between large and small falls splits early.  Every other piece stalls after
-two doublings in a row that each cut the tail by less than 8: in full
-accuracy, and in a zero-set piece that samples a 0, because there the
-higher rungs sample the zero set more finely, and the zeros they find
-start the descents that set the caller's answer.  A split locates the
-nonsmooth feature by a shrinking-window scan of fourth differences and cuts
-the interval there, recursing on both halves; features hugging a boundary
-yield geometrically graded pieces.  There are two scans.  A zero-set piece
-that samples no exact 0 starts from its stalled rung's own samples, zooms on
-nested grids at 4 samples a halving, and stops once the window is as narrow
-as the end cell of the ``MIN_SAMPLES``-point grid: such a piece needs low
-fidelity only, so a cut that close serves.  Every other piece scans fresh
-9-point grids down to a window 16 eps wide.  A zero-set piece that samples
-a 0 keeps that precise cut for the same reason it keeps the slower stall
-test: the rungs of the pieces it leaves sample the zero set, and the zeros
-they find set the caller's answer.  Sampling happens in batches:
-every batch may be evaluated concurrently by the caller, and a
-caller-supplied predicate can abort the whole construction as soon as any
-batch contains a triggering sample.  The construction is deterministic: it
-depends only on the sampled values, never on evaluation order.
+decides whether the piece is kept or split.  A split locates the nonsmooth
+feature by a shrinking-window scan of fourth differences and cuts the
+interval there, recursing on both halves; features hugging a boundary yield
+geometrically graded pieces.
+
+Each rung takes one of two policies, by one predicate: whether it is a
+zero-set rung that samples no exact 0.  Such a zero-free rung needs low
+fidelity only.  Its floor is a fraction of its smallest sample; it stalls
+once its tail fell by less than 64 over the last two doublings, so a kink
+whose tail alternates between large and small falls splits early; and its
+split starts from the stalled rung's own samples, zooms on nested grids at
+4 samples a halving, and stops once the window is as narrow as the end cell
+of the ``MIN_SAMPLES``-point grid, since a cut that close serves.  Every
+other rung, in full accuracy or in a zero-set piece that samples a 0, is
+resolved to ``TOL`` (a sample of 0 makes a zero-set floor 0), stalls after
+two doublings in a row that each cut the tail by less than 8, and is split
+by a scan of fresh 9-point grids down to a window 16 eps wide.  A zero-set piece
+that samples a 0 keeps that precise policy because its higher rungs and the
+pieces it leaves sample the zero set more finely, and the zeros they find
+start the descents that set the caller's answer.
+
+Sampling happens in batches: every batch may be evaluated concurrently by
+the caller, and a caller-supplied predicate can abort the whole
+construction as soon as any batch contains a triggering sample.  The
+construction is deterministic: it depends only on the sampled values, never
+on evaluation order.
 
 Values and coefficients are exchanged by a DCT-I computed as numpy's real
 FFT of the even extension, so the engine imports nothing beyond numpy.
@@ -572,7 +575,7 @@ def _run_ladder(sampler: _Sampler, a: float, b: float, zero_set_only: bool) -> n
     One acceptance rule: the tail is at most ``target = max(TOL * scale,
     floor)``, and the function agrees with the series at two off-grid points
     to ``max(100 * TOL * scale, 10 * floor)``; coefficients below half the
-    target are trimmed.  The floor is 0 unless ``zero_set_only``, when
+    target are trimmed.  The floor is 0 unless the rung is zero-free, when
     ``_zero_set_floor`` sets it from the smallest sample: for a nonnegative
     function whose zero set is all the caller needs, an error small relative
     to the piece's own minimum cannot move that set, so only pieces that
@@ -584,26 +587,24 @@ def _run_ladder(sampler: _Sampler, a: float, b: float, zero_set_only: bool) -> n
     exit comes at ``MAX_DEGREE``, or earlier once the tail has stalled from
     65 points on, unless the tail lies in (50, 1e3] times ``TOL * scale``:
     above the validation contract, but close enough to finish by doubling.
-    A ``zero_set_only`` piece none of whose samples is exactly 0 has
-    stalled when its tail fell by less than 64 over the last two doublings.
-    A kink's tail falls by about 4 per doubling but may alternate between
-    falls above and below 8, and the rung-by-rung test then never sees two
-    stalls in a row.  Such a piece also hands on the stalled rung's points
-    and values, where ``_locate_edge`` starts its search.  Every other piece has stalled when its tail fell by
-    less than 8 on each of the last two doublings: a full-accuracy piece,
-    and a zero-set piece that samples a 0, whose higher rungs sample the
-    zero set more finely and so find the zeros that set the answer.
+    The stall test is the rung's policy (module docstring): a zero-free
+    rung has stalled when its tail fell by less than 64 over the last two
+    doublings, and hands on its points and values, where ``_locate_edge``
+    starts its search; every other rung when its tail fell by less than 8
+    on each of the last two.  A kink's tail falls by about 4 per doubling
+    but may alternate between falls above and below 8, which the second
+    test never sees as a stall.
     """
     m = MIN_SAMPLES - 1
     tails = [np.inf, np.inf]  # the tails of the last two rungs
-    stalls = 0
     coeffs = None
     while True:
         pts = chebpts(m, a, b)
         vals = sampler.eval(pts)
         prev, coeffs = coeffs, vals2coeffs(vals)
         fscale = max(sampler.scale, np.finfo(float).tiny)
-        floor = _zero_set_floor(vals, prev) if zero_set_only else 0.0
+        zero_free = zero_set_only and np.all(vals != 0.0)
+        floor = _zero_set_floor(vals, prev) if zero_free else 0.0
         target = max(TOL * fscale, floor)
         tail = float(np.max(np.abs(coeffs[-2:])))
         if tail <= target:
@@ -612,15 +613,10 @@ def _run_ladder(sampler: _Sampler, a: float, b: float, zero_set_only: bool) -> n
             err = np.max(np.abs(sampler.eval(xs) - _clenshaw(coeffs, np.asarray(_SAMPLE_TEST_NODES))))
             if err <= max(100.0 * TOL * fscale, 10.0 * floor):
                 return _trim_coeffs(coeffs, 0.5 * target)
-        stalls = stalls + 1 if tail > 0.125 * tails[-1] else 0
-        zero_free = zero_set_only and np.all(vals != 0.0)
         if zero_free:
             stalled = tail > tails[-2] / 64.0
         else:
-            # a piece that samples a zero keeps the rung-by-rung test: its
-            # higher rungs sample the zero set more finely, each new zero
-            # there starts descents, and those descents set the answer
-            stalled = stalls >= 2
+            stalled = tail > 0.125 * tails[-1] and tails[-1] > 0.125 * tails[-2]
         tails = [tails[-1], tail]
         closing_in = 50.0 * TOL * fscale < tail <= 1e3 * TOL * fscale
         if (stalled and m + 1 >= 65 and not closing_in) or 2 * m + 1 > MAX_DEGREE:

@@ -11,8 +11,9 @@ The reduced forms are written from explicit closed-form inverses of the
 second member, never by numerical inversion, so the singularity guard is a
 pure scalar test.
 
-Everything in a reduced matrix that does not depend on the angle is gathered
-in ``PencilConstants``, built once per level: A^H, I and ||A||_2, the
+A certificate level is one ``PencilConstants``: the family, gamma, the
+validated A and B, and everything in a reduced matrix that does not depend
+on the angle, built once per level: A^H, I and ||A||_2, the
 uncontrollability block ``B B^H / gamma - gamma I``, and an O(1)-per-angle
 upper bound on ||M(theta)||_2 that scales the certificate tolerances.
 """
@@ -56,15 +57,19 @@ class PencilKind(Enum):
 
 @dataclass(frozen=True, eq=False)
 class PencilConstants:
-    """The theta-independent parts of one family's reduced matrix at ``gamma``.
+    """One certificate level: family ``kind`` at ``gamma`` on A and B.
 
-    ``ah``, ``eye`` and ``a_norm`` (A^H, I and ||A||_2) depend on A alone;
-    ``b_tilde`` (uncontrollability only) and ``level_norm`` depend on gamma
-    as well.  Build with ``pencil_constants``.
+    ``a`` and ``b`` are validated complex matrices, ``b`` None for the
+    Kreiss families.  The rest are the theta-independent parts of the
+    reduced matrix: ``ah``, ``eye`` and ``a_norm`` (A^H, I and ||A||_2)
+    depend on A alone; ``b_tilde`` (uncontrollability only) and
+    ``level_norm`` depend on gamma as well.  Build with ``pencil_constants``.
     """
 
     kind: PencilKind
     gamma: float
+    a: np.ndarray
+    b: Optional[np.ndarray]
     ah: np.ndarray
     eye: np.ndarray
     a_norm: float
@@ -87,21 +92,21 @@ class PencilConstants:
 
 
 def pencil_constants(kind: PencilKind, a: np.ndarray, b, gamma: float) -> PencilConstants:
-    """Constants of family ``kind`` at level ``gamma`` for validated complex A (and B).
+    """The level of family ``kind`` at ``gamma`` on validated complex A (and B).
 
     Raises the family's guard errors when gamma itself is degenerate.
     """
     ah, eye, a_norm = a.conj().T, _eye_like(a), float(np.linalg.norm(a, 2))
     if kind is PencilKind.KREISS_CONTINUOUS:
-        return PencilConstants(kind, gamma, ah, eye, a_norm)
+        return PencilConstants(kind, gamma, a, b, ah, eye, a_norm)
     if kind is PencilKind.KREISS_DISCRETE:
         _check_kd_gamma(gamma)
         g = abs(gamma)
         bound = (1.0 + g) * (a_norm + g) / abs(1.0 - g * g)
-        return PencilConstants(kind, gamma, ah, eye, a_norm, level_norm=bound)
+        return PencilConstants(kind, gamma, a, b, ah, eye, a_norm, level_norm=bound)
     b_tilde = _b_tilde(b, gamma, eye)
     exact = float(np.linalg.norm(np.block([[a, b_tilde], [-gamma * eye, ah]]), 2))
-    return PencilConstants(kind, gamma, ah, eye, a_norm, b_tilde, exact)
+    return PencilConstants(kind, gamma, a, b, ah, eye, a_norm, b_tilde, exact)
 
 
 def _eye_like(a: np.ndarray) -> np.ndarray:

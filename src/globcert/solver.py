@@ -28,13 +28,16 @@ The estimate gamma changes only when a descent attains a lower value
 (``_adopt``), so it is always the objective at the reported minimizer.  A
 Kreiss solve starts from gamma = 1, the objective's limit at infinity, with
 no minimizer: its answer is never below 1, and a round that completes at
-gamma = 1 reports K = 1 with minimizer None.  A certificate level
-where the pencil family degenerates at a sampled angle (a singular second
-member, or an eigenvalue at the radius floor) has one remedy: the round
-lowers its level by ``10 * GAMMA_GUARD`` relative and sweeps again, leaving
-gamma as it is.  A round whose six levels all degenerate, or whose
-interpolation exhausts its degree and piece budgets, ends the solve as
-``Uncertified``, with the best gamma and minimizer found so far.
+gamma = 1 reports K = 1 with minimizer None.  Each certificate level is
+one ``pencils.PencilConstants``, built once from the validated A and B and
+handed whole to ``eval_certificates``.  A level where the pencil family
+degenerates at a sampled angle (a singular second member, or an
+eigenvalue at the radius floor) has one remedy: the round lowers the level
+it failed at by ``10 * GAMMA_GUARD`` relative, below the clamp at
+1 - 1e-6 too, and sweeps again, leaving gamma as it is.  A round whose six
+distinct levels all degenerate, or whose interpolation exhausts its degree
+and piece budgets, ends the solve as ``Uncertified``, with the best gamma
+and minimizer found so far.
 
 Local optimization from several points (the starts, or every point that a
 batch of certificate zeros nominates) is a race.  Each round advances every
@@ -58,6 +61,7 @@ package's one feasibility rule, and an infeasible start raises
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 import time
@@ -342,30 +346,25 @@ class _Driver:
 
     def _certificate_round(self) -> Optional[SolveStatus]:
         """One full certificate round: the status that ends the solve, or None to restart."""
-        gamma_round = self.gamma
-        a, b = self.obj.a, self.obj.b
+        gamma_cert = self.gamma * (1.0 - GAMMA_GUARD)
+        if self.kind is not PencilKind.DIST_UNCONTROLLABLE:
+            # Keep the certificate level away from 1, where the second
+            # pencil member degenerates and its inverse amplifies
+            # eigenvalue noise by 1/(1-gamma): reduced pencils at level
+            # 1-d have norm ~1/d, drowning the certificate in rounding
+            # noise as d shrinks.  Levels within 1e-6 below 1 (a Kreiss
+            # gamma never exceeds 1) correspond to transient bounds within
+            # 1e-6 of the floor K = 1, where no meaningful discrimination
+            # is possible anyway.
+            gamma_cert = min(gamma_cert, 1.0 - 1e-6)
 
         for _attempt in range(6):
-            gamma_cert = gamma_round * (1.0 - GAMMA_GUARD)
-            if self.kind is not PencilKind.DIST_UNCONTROLLABLE:
-                # Keep the certificate level away from 1, where the second
-                # pencil member degenerates and its inverse amplifies
-                # eigenvalue noise by 1/(1-gamma): reduced pencils at level
-                # 1-d have norm ~1/d, drowning the certificate in rounding
-                # noise as d shrinks.  Levels within 1e-6 below 1 (a Kreiss
-                # gamma never exceeds 1) correspond to transient bounds within
-                # 1e-6 of the floor K = 1, where no meaningful discrimination
-                # is possible anyway.
-                gamma_cert = min(gamma_cert, 1.0 - 1e-6)
             cache: dict[float, float] = {}
 
             def batch_eval(thetas, stage="probe") -> list[float]:
                 thetas = [float(t) for t in np.atleast_1d(thetas)]
                 missing = list(dict.fromkeys(t for t in thetas if t not in cache))
-
-                def part(ts):
-                    return eval_certificates(self.kind, a, b, gamma_cert, ts, const)
-
+                part = functools.partial(eval_certificates, level)
                 # one contiguous part per worker; eval_certificates sizes the
                 # stacks, and no value depends on where parts or stacks split
                 step = max(1, -(-len(missing) // self.cfg.workers))
@@ -374,7 +373,7 @@ class _Driver:
                 for t, cv in zip(missing, cvs):
                     cache[t] = cv.value
                     self.trace._append(
-                        self.round, gamma_cert, t, cv.value, len(cv.candidates), stage
+                        self.round, level.gamma, t, cv.value, len(cv.candidates), stage
                     )
                 # each zero is assessed once, by the batch that first samples it
                 zeros = [cv for cv in cvs if cv.is_zero]
@@ -383,13 +382,13 @@ class _Driver:
                 return [cache[t] for t in thetas]
 
             try:
-                const = pencil_constants(self.kind, a, b, gamma_cert)
+                level = pencil_constants(self.kind, self.obj.a, self.obj.b, gamma_cert)
                 self._sweep(batch_eval)
                 return SolveStatus.CONVERGED
             except (NearSingularSecondMember, NearZeroPencilEigenvalue):
-                # the level is degenerate at a sampled angle: lower the level
-                # alone and sweep again; gamma keeps the best attained value
-                gamma_round *= 1.0 - 10.0 * GAMMA_GUARD
+                # the level is degenerate at a sampled angle: lower it and
+                # sweep again; gamma keeps the best attained value
+                gamma_cert *= 1.0 - 10.0 * GAMMA_GUARD
             except _RoundEnd:
                 return None
             except BudgetExceeded:

@@ -59,10 +59,10 @@ def _reference_matrix(kind, a, b, gamma, theta):
     return np.block([[blocks[0], blocks[1]], [blocks[2], blocks[3]]])
 
 
-def _reference_certificate(kind, a, b, gamma, theta, const):
+def _reference_certificate(kind, a, b, gamma, theta, level):
     """(value, candidates as field tuples, merges) at one angle."""
     lam = np.linalg.eigvals(_reference_matrix(kind, a, b, gamma, theta))
-    scale = max(const.norm_bound(theta), np.finfo(float).tiny)
+    scale = max(level.norm_bound(theta), np.finfo(float).tiny)
     r_floor = 1.0 if kind is KD else 0.0
     mu = lam / 1j
     if np.min(np.abs(mu - r_floor)) < 1e-14 * scale:
@@ -142,18 +142,18 @@ def _prepared(kind, a, b, gamma):
     return a, b, pencil_constants(kind, a, b, gamma)
 
 
-def _build(kind, a, b, gamma, theta, const):
+def _build(kind, a, b, gamma, theta, level):
     if kind is KC:
-        return reduced_kc_matrix(a, gamma, theta, const)
+        return reduced_kc_matrix(a, gamma, theta, level)
     if kind is KD:
-        return reduced_kd_matrix(a, gamma, theta, const)
-    return reduced_dtu_matrix(a, b, gamma, theta, const)
+        return reduced_kd_matrix(a, gamma, theta, level)
+    return reduced_dtu_matrix(a, b, gamma, theta, level)
 
 
 def test_stacked_matrices_equal_per_angle_formulas_bitwise():
     for kind, a, b, gamma, thetas in _cases():
-        a, b, const = _prepared(kind, a, b, gamma)
-        for c in (const, None):
+        a, b, level = _prepared(kind, a, b, gamma)
+        for c in (level, None):
             stack = _build(kind, a, b, gamma, thetas, c)
             assert stack.shape == (len(thetas), 2 * a.shape[0], 2 * a.shape[0])
             for i, th in enumerate(thetas):
@@ -183,14 +183,14 @@ def test_stacks_of_order_one_and_two_match_single_angles():
 def test_batched_certificates_equal_per_angle_reference_bitwise():
     seen = {kind: {"zero": 0, "pi_sq": 0, "merged": 0} for kind in PencilKind}
     for kind, a, b, gamma, thetas in _cases():
-        a, b, const = _prepared(kind, a, b, gamma)
+        a, b, level = _prepared(kind, a, b, gamma)
         thetas = [float(t) for t in thetas]
-        cvs = eval_certificates(kind, a, b, gamma, thetas, const)
+        cvs = eval_certificates(level, thetas)
         assert len(cvs) == len(thetas)
         for th, cv in zip(thetas, cvs):
-            ref = _reference_certificate(kind, a, b, gamma, th, const)
+            ref = _reference_certificate(kind, a, b, gamma, th, level)
             assert _same_cv(cv, th, ref), (kind, gamma, th)
-            assert _same_cv(eval_certificate(kind, a, b, gamma, th, const), th, ref)
+            assert _same_cv(eval_certificate(kind, a, b, gamma, th), th, ref)
             seen[kind]["zero"] += cv.is_zero
             seen[kind]["pi_sq"] += cv.value == PI_SQ
             seen[kind]["merged"] += ref[2] > 0
@@ -203,19 +203,19 @@ def test_batched_certificates_equal_per_angle_reference_bitwise():
 def test_chunk_boundaries_change_no_bits(kind, monkeypatch):
     case = next(c for c in _cases() if c[0] is kind)
     _, a, b, gamma, thetas = case
-    a, b, const = _prepared(kind, a, b, gamma)
+    a, b, level = _prepared(kind, a, b, gamma)
     thetas = [float(t) for t in thetas]
     k = len(thetas)
-    refs = [_reference_certificate(kind, a, b, gamma, th, const) for th in thetas]
+    refs = [_reference_certificate(kind, a, b, gamma, th, level) for th in thetas]
     per_matrix = 16 * (2 * a.shape[0]) ** 2
     assert chunk_length(a.shape[0]) >= k  # by default the whole set is one chunk
     for length in (1, k - 1, 4):
         monkeypatch.setattr(linalg, "CHUNK_BYTES", length * per_matrix)
         assert chunk_length(a.shape[0]) == length
-        cvs = eval_certificates(kind, a, b, gamma, thetas, const)
+        cvs = eval_certificates(level, thetas)
         assert all(_same_cv(cv, th, ref) for cv, th, ref in zip(cvs, thetas, refs)), length
     # one angle, alone
-    cv = eval_certificates(kind, a, b, gamma, thetas[:1], const)
+    cv = eval_certificates(level, thetas[:1])
     assert len(cv) == 1 and _same_cv(cv[0], thetas[0], refs[0])
 
 
@@ -252,14 +252,14 @@ def test_near_singular_second_member_names_first_offending_angle():
     a = np.diag([-1.0, -2.0]).astype(np.complex128)
     gamma = 1.5
     bad = float(np.arccos(1.0 / gamma))  # gamma * cos(theta) rounds to within 1e-12 of 1
-    const = pencil_constants(KC, a, None, gamma)
+    level = pencil_constants(KC, a, None, gamma)
     thetas = [0.1, bad, 0.2, -bad]
     with pytest.raises(NearSingularSecondMember, match=f"at theta={bad!r}$"):
-        reduced_kc_matrix(a, gamma, np.array(thetas), const)
+        reduced_kc_matrix(a, gamma, np.array(thetas), level)
     with pytest.raises(NearSingularSecondMember, match=f"at theta={bad!r}$"):
-        eval_certificates(KC, a, None, gamma, thetas, const)
+        eval_certificates(level, thetas)
     with pytest.raises(NearSingularSecondMember, match=f"at theta={-bad!r}$"):
-        eval_certificates(KC, a, None, gamma, [0.1, -bad, bad], const)
+        eval_certificates(level, [0.1, -bad, bad])
 
 
 def test_near_zero_eigenvalue_names_first_offending_angle(monkeypatch):
@@ -267,21 +267,21 @@ def test_near_zero_eigenvalue_names_first_offending_angle(monkeypatch):
     # continuous-time norm bound for theta < ~0.9 at gamma = 1.5, not above
     a = np.diag([-1.0, -3e-14]).astype(np.complex128)
     gamma = 1.5
-    const = pencil_constants(KC, a, None, gamma)
+    level = pencil_constants(KC, a, None, gamma)
     singular = float(np.arccos(1.0 / gamma))
-    ok = [cv.value for cv in eval_certificates(KC, a, None, gamma, [1.2, 1.4], const)]
+    ok = [cv.value for cv in eval_certificates(level, [1.2, 1.4])]
     assert len(ok) == 2
     for th in (0.1, 0.3):
         with pytest.raises(NearZeroPencilEigenvalue):
-            eval_certificate(KC, a, None, gamma, th, const)
+            eval_certificate(KC, a, None, gamma, th)
     with pytest.raises(NearZeroPencilEigenvalue, match=f"at theta={0.3!r}$"):
-        eval_certificates(KC, a, None, gamma, [1.4, 0.3, 1.2, 0.1], const)
+        eval_certificates(level, [1.4, 0.3, 1.2, 0.1])
     # errors of both kinds in one chunk: the stacked build raises for the
     # singular second member first, wherever it is; in separate chunks the
     # earlier chunk's error is raised
     for thetas in ([1.4, 0.3, singular], [1.4, singular, 0.3]):
         with pytest.raises(NearSingularSecondMember, match=f"at theta={singular!r}$"):
-            eval_certificates(KC, a, None, gamma, thetas, const)
+            eval_certificates(level, thetas)
     monkeypatch.setattr(linalg, "CHUNK_BYTES", 2 * 16 * (2 * a.shape[0]) ** 2)
     with pytest.raises(NearZeroPencilEigenvalue, match=f"at theta={0.3!r}$"):
-        eval_certificates(KC, a, None, gamma, [1.4, 0.3, singular], const)
+        eval_certificates(level, [1.4, 0.3, singular])

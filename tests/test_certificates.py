@@ -9,6 +9,7 @@ from globcert.certificates import (
     CertificateValue,
     NoAcceptedCandidates,
     eval_certificate,
+    eval_certificates,
     extract_restart_points,
 )
 from globcert.demos import grcar
@@ -101,7 +102,6 @@ def test_eval_certificate_same_with_and_without_constants():
         a = random_complex(gen, n)
         b = random_complex(gen, n, 1)
         g = float(gen.uniform(0.05, 2.5))
-        const = {}
         for th in gen.uniform(-1.4, 1.4, 4):
             th = float(th)
             for kind in kinds:
@@ -110,14 +110,10 @@ def test_eval_certificate_same_with_and_without_constants():
                     plain = eval_certificate(kind, a, bk, g, th)
                 except (ArithmeticError, ValueError):
                     continue  # a degenerate level or a zero pencil eigenvalue
-                if kind not in const:
-                    const[kind] = pencil_constants(kind, a, bk, g)
-                assert eval_certificate(kind, a, bk, g, th, const[kind]) == plain
+                level = pencil_constants(kind, a, bk, g)
+                assert eval_certificates(level, [th])[0] == plain
                 evaluated += 1
     assert evaluated > 300
-    with pytest.raises(ValueError):
-        eval_certificate(PencilKind.DIST_UNCONTROLLABLE, a, b, 2 * g, 0.0,
-                         const[PencilKind.DIST_UNCONTROLLABLE])
 
 
 def c_accepted(cv):

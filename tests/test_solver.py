@@ -380,6 +380,28 @@ def test_spent_degenerate_level_retries_end_uncertified(monkeypatch, error):
     assert res.certificate_samples == (0,) and res.trace == ()
 
 
+def test_a_retry_lowers_the_clamped_level_it_failed_at(monkeypatch):
+    # the descent cannot leave its start, so round 1 runs at gamma = 1, where
+    # the level is clamped to 1 - 1e-6.  Lowering gamma before the clamp
+    # left the retried level at exactly 1 - 1e-6, the level that failed
+    a = 1e6 * np.array([[-1.0, 4.0], [0.0, -2.0]])
+    real = solver.eval_certificates
+    calls = [0]
+
+    def once(*args):
+        calls[0] += 1
+        if calls[0] == 1:
+            raise NearZeroPencilEigenvalue("injected at theta=0.0")
+        return real(*args)
+
+    monkeypatch.setattr(solver, "eval_certificates", once)
+    res = kreiss_continuous(a, [1e-153])
+    levels = {t.gamma for t in res.trace if t.round == 1}
+    assert levels and max(levels) < 1.0 - 1e-6
+    assert res.status is SolveStatus.CONVERGED
+    assert abs(res.quantity - 1.0556083778682213) <= 1e-12
+
+
 def test_discrete_grcar20_converges():
     # measured from mu = 0, the discrete certificate jumped wherever a pencil
     # eigenvalue crossed the real axis inside radius 1, and the graded splits
@@ -525,11 +547,11 @@ def test_zeros_consumed_mid_sweep(workers):
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_zero_found_by_the_minimizer_check(workers):
-    # the sweep completes without a zero; the certificate at the
-    # interpolant's minimizer is one, whose restart gains less than
-    # RESTART_REL, so it is consumed and the round converges.  Whether the
-    # minimizer lands inside the tangency's zero window turns on its last
-    # digits, so a change of sample path can move it out of that window
+    # a pin of this solve: the sweep completes without a zero, and the
+    # certificate at the interpolant's minimizer is one, consumed since its
+    # restart gains less than RESTART_REL.  Whether the minimizer lands in
+    # the tangency's zero window turns on its last digits, so
+    # test_final_min_check_restarts_by_construction covers that path by design
     gen = rng([4242, 58])
     a = random_complex(gen, 4)
     b = random_complex(gen, 4, 1)
@@ -539,6 +561,33 @@ def test_zero_found_by_the_minimizer_check(workers):
     assert res.restarts == ()
     assert [t.value for t in res.trace if t.stage == "final-min"] == [0.0]
     assert res.quantity == 0.48711224253338264
+
+
+def test_final_min_check_restarts_by_construction(monkeypatch):
+    # gamma 1% above a local minimum, and an interpolant whose only
+    # minimizer is that minimum's angle: the final-min sample there meets
+    # the level set, and its restart regains the 1%, so it ends the round
+    a = np.array([[-1.0 + 1.0j, 4.0], [0.0, -2.0]])
+    kind = PencilKind.KREISS_CONTINUOUS
+    best = minimize(Objective(kind, a), 1 + 1j)
+    theta = float(np.angle(best.z))
+    real = chebinterp.approximate
+
+    def one_piece(fn, lo, hi, **kwargs):
+        out = real(lambda x: (np.asarray(x) - theta) ** 2, lo, hi)
+        assert len(out.interpolant.pieces) == 1
+        return out
+
+    monkeypatch.setattr(solver, "approximate", one_piece)
+    drv = _Driver(kind, a, None, [1 + 1j], SolverConfig(), (-np.pi / 2, np.pi / 2))
+    drv.gamma, drv.round = 1.01 * best.value, 1
+    assert drv._certificate_round() is None  # a restart ended the round
+    [sample] = drv.trace
+    assert sample.stage == "final-min" and sample.value == 0.0
+    assert abs(sample.theta - theta) <= 1e-12
+    [record] = drv.restarts
+    assert record.trigger == "FinalMinCheck" and record.gamma_before == 1.01 * best.value
+    assert record.gamma_after < best.value * (1.0 + 1e-6)
 
 
 def test_zero_free_ladder_stalls_over_two_doublings():
